@@ -8,13 +8,10 @@ oracle used to cross-check them, ``spaces`` the space descriptions, and
 """
 
 from .combinatorics import (
-    MultiIndex,
     binom,
     binomial_gf_check,
-    diagonal_multiplicity,
     fat_diagonal_betti,
     loop_series_oracle,
-    multiindex_betti,
     smash_power_betti,
     smash_quotient_betti,
 )
@@ -58,7 +55,6 @@ __all__ = [
     "HypothesisViolation",
     "IntPolynomial",
     "LoopspaceError",
-    "MultiIndex",
     "NonIntegerSeriesError",
     "NonUnitConstantError",
     "ONE",
@@ -80,7 +76,6 @@ __all__ = [
     "collapse_check",
     "combine",
     "cone",
-    "diagonal_multiplicity",
     "euler_series_e1",
     "euler_series_einf",
     "evaluate",
@@ -89,7 +84,6 @@ __all__ = [
     "load_catalog",
     "loop_series",
     "loop_series_oracle",
-    "multiindex_betti",
     "parse_catalog",
     "parse_space",
     "point",

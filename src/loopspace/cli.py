@@ -113,6 +113,8 @@ def cmd_collapse(args: argparse.Namespace) -> int:
 
 
 def cmd_identity(args: argparse.Namespace) -> int:
+    if args.kmax < 0:
+        raise ValueError(f"--kmax must be >= 0, got {args.kmax}")
     failures = []
     total = 0
     for k in range(args.kmax + 1):
@@ -185,3 +187,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    run()

@@ -1,56 +1,25 @@
-"""Brute-force combinatorial route to the loop-space Betti numbers.
+"""Stagewise combinatorial route to the loop-space Betti numbers.
 
 The closed form in :mod:`loopspace.formulas` collapses a double sum over
 word-filtration stages and multiindex pairs.  This module keeps that sum
-un-collapsed: generalized binomials, explicit multiindex enumeration, Betti
-numbers of the fat diagonal inside each smash power, and the degree-by-degree
-total.  Agreement of the two routes is the package's central self-check.
+un-collapsed: generalized binomials, Betti numbers of the fat diagonal
+inside each smash power, and the degree-by-degree total.  Agreement of the
+two routes is the package's central self-check.
+
+The sum over all multiindexes of one dimension and length of the products
+of their Betti numbers is a coefficient of a power of the Betti series, so
+every term is read off one table of truncated products P_Y^i * P_A^j.  For
+a degree bound N the oracle builds that table once and makes O(N^4)
+integer operations in all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
-from typing import Iterator, Sequence
 
 from .errors import HypothesisViolation, PathConnectednessViolation
 from .gfcore import IntPolynomial, RationalGF, TruncSeries
 from .spaces import PairInclusion, SpaceProfile
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """A possibly empty finite sequence of positive integers.
-
-    ``dim`` counts the entries, ``length`` sums them; dim <= length always.
-    """
-
-    entries: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if any(not isinstance(e, int) or e < 1 for e in self.entries):
-            raise ValueError(f"multiindex entries must be positive integers: {self.entries}")
-
-    @classmethod
-    def of(cls, *entries: int) -> MultiIndex:
-        return cls(tuple(entries))
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    @property
-    def length(self) -> int:
-        return sum(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-EMPTY = MultiIndex()
 
 
 def binom(n: int, k: int) -> int:
@@ -85,64 +54,88 @@ def binomial_gf_check(k: int, m: int, bound: int) -> bool:
     return direct == closed
 
 
-def multiindex_betti(space: SpaceProfile, alpha: MultiIndex, bound: int) -> int:
-    """Product of the space's reduced Betti numbers over the entries of alpha.
+def _positive_betti(space: SpaceProfile, bound: int) -> list[tuple[int, int]]:
+    """(degree, Betti number) for the nonzero reduced Betti numbers in degrees 1..bound.
 
-    The empty multiindex gives 1.  Entries beyond the expansion bound are
-    rejected rather than silently truncated.
+    Multiindex entries are positive, so degree 0 never enters a product.
     """
-    if any(e > bound for e in alpha):
-        raise ValueError(f"multiindex entry exceeds expansion bound {bound}: {alpha.entries}")
     coeffs = space.betti(bound)
-    result = 1
-    for e in alpha:
-        result *= coeffs[e]
-    return result
+    return [(d, coeffs[d]) for d in range(1, bound + 1) if coeffs[d] != 0]
 
 
-def diagonal_multiplicity(lam: MultiIndex, mu: MultiIndex, s: int) -> int:
-    """Multiplicity of the (lam, mu) cell in the stage-s fat-diagonal sum.
+def _times(row: list[int], factor: list[tuple[int, int]], bound: int) -> list[int]:
+    """The product of a truncated series and a sparse factor, truncated at bound."""
+    out = [0] * (bound + 1)
+    for i, c in enumerate(row):
+        if c:
+            for d, b in factor:
+                if i + d > bound:
+                    break
+                out[i + d] += c * b
+    return out
 
-    binom(dim lam + dim mu, dim mu) * binom(s - dim lam - dim mu - 1, dim mu - 1);
-    the second factor kills mu = empty through its Iverson bracket.
+
+def _powers(
+    row: list[int], factor: list[tuple[int, int]], count: int, bound: int
+) -> list[list[int]]:
+    """[row, row * F, ..., row * F^count] for the sparse factor F, truncated at bound."""
+    rows = [row]
+    for _ in range(count):
+        rows.append(_times(rows[-1], factor, bound))
+    return rows
+
+
+def _power_table(pair: PairInclusion, bound: int, max_dim: int) -> list[list[list[int]]]:
+    """table[i][j][n] = [t^n] P_Y^i * P_A^j for i + j <= max_dim and n <= bound.
+
+    P_Y and P_A are the Betti series of the ambient space and the subspace
+    with degree 0 dropped, so table[i][j][n] sums the Betti products of all
+    multiindex pairs of dimensions (i, j) and total length n.  Column j = 0
+    holds the powers of P_Y; entry j of a column is entry j - 1 times P_A.
     """
+    y = _positive_betti(pair.ambient, bound)
+    a = _positive_betti(pair.sub, bound)
+    one = [1] + [0] * bound
+    return [
+        _powers(y_power, a, max_dim - i, bound)
+        for i, y_power in enumerate(_powers(one, y, max_dim, bound))
+    ]
+
+
+def _pascal(n: int) -> list[list[int]]:
+    """pascal[m][k] = binom(m, k) for 0 <= m, k <= n (zero for k > m)."""
+    rows = [[1] + [0] * n]
+    for m in range(1, n + 1):
+        prev = rows[-1]
+        rows.append([1] + [prev[k - 1] + prev[k] for k in range(1, n + 1)])
+    return rows
+
+
+def _fat_diagonal(table: list[list[list[int]]], pascal: list[list[int]], s: int, q: int) -> int:
+    """The stage-s fat-diagonal sum in degree q, read off a power table.
+
+    Cells of dimensions (d_lam, d_mu) with d = d_lam + d_mu in 1..s-1 have
+    total length q - s + d + 1 and multiplicity
+    binom(d, d_mu) * binom(s - d - 1, d_mu - 1), which vanishes unless
+    1 <= d_mu <= s - d.  Needs s <= q + 1, so that the length is at least d
+    and the table reaches it.
+    """
+    total = 0
+    for d in range(1, s):
+        length = q - s + d + 1
+        choose_d, choose_rest = pascal[d], pascal[s - d - 1]
+        for d_mu in range(1, min(d, s - d) + 1):
+            weight = table[d - d_mu][d_mu][length]
+            if weight:
+                total += choose_d[d_mu] * choose_rest[d_mu - 1] * weight
+    return total
+
+
+def _check_stage(s: int, q: int) -> None:
     if s < 1:
         raise ValueError(f"stage must be >= 1, got {s}")
-    d1, d2 = lam.dim, mu.dim
-    return binom(d1 + d2, d2) * binom(s - d1 - d2 - 1, d2 - 1)
-
-
-def _compositions(total: int, parts: int, support: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All tuples of length ``parts`` with entries drawn from ``support`` summing to ``total``.
-
-    Support holds positive degrees only, so each unfilled part reserves at
-    least 1 of the remaining total.
-    """
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    ceiling = total - (parts - 1)
-    for e in support:
-        if e > ceiling:
-            break
-        for rest in _compositions(total - e, parts - 1, support):
-            yield (e, *rest)
-
-
-def _composition_weight(coeffs: TruncSeries, total: int, parts: int, support: Sequence[int]) -> int:
-    """Sum of Betti products over all supported compositions of ``total``."""
-    acc = 0
-    for combo in _compositions(total, parts, support):
-        term = 1
-        for e in combo:
-            term *= coeffs[e]
-        acc += term
-    return acc
-
-
-def _support(coeffs: TruncSeries) -> list[int]:
-    return [d for d in range(1, coeffs.bound + 1) if coeffs[d] != 0]
+    if q < 0:
+        raise ValueError(f"degree must be >= 0, got {q}")
 
 
 def fat_diagonal_betti(pair: PairInclusion, s: int, q: int) -> int:
@@ -164,35 +157,11 @@ def fat_diagonal_betti(pair: PairInclusion, s: int, q: int) -> int:
             f"{pair.sub.name}: fat-diagonal Betti numbers need the subspace "
             "declared diagonal-null"
         )
-    if s < 1:
-        raise ValueError(f"stage must be >= 1, got {s}")
-    if q < 0:
-        raise ValueError(f"degree must be >= 0, got {q}")
-    if q == 0:
+    _check_stage(s, q)
+    if s > q + 1:
         return 0
-    betti_y = pair.ambient.betti(q)
-    betti_a = pair.sub.betti(q)
-    support_y = _support(betti_y)
-    support_a = _support(betti_a)
-
-    total = 0
-    for d_lam in range(0, s):
-        for d_mu in range(0, s - d_lam):
-            if d_lam + d_mu < 1:
-                continue
-            length = q - s + d_lam + d_mu + 1
-            if length < d_lam + d_mu:
-                continue
-            mult = binom(d_lam + d_mu, d_mu) * binom(s - d_lam - d_mu - 1, d_mu - 1)
-            if mult == 0:
-                continue
-            for lam_len in range(d_lam, length - d_mu + 1):
-                w_lam = _composition_weight(betti_y, lam_len, d_lam, support_y)
-                if w_lam == 0:
-                    continue
-                w_mu = _composition_weight(betti_a, length - lam_len, d_mu, support_a)
-                total += mult * w_lam * w_mu
-    return total
+    table = _power_table(pair, q, s - 1)
+    return _fat_diagonal(table, _pascal(s - 1), s, q)
 
 
 def smash_power_betti(space: SpaceProfile, s: int, q: int) -> int:
@@ -205,11 +174,11 @@ def smash_power_betti(space: SpaceProfile, s: int, q: int) -> int:
         raise PathConnectednessViolation(
             f"{space.name}: smash powers are taken of path-connected spaces only"
         )
-    if s < 1:
-        raise ValueError(f"stage must be >= 1, got {s}")
-    if q < 0:
-        raise ValueError(f"degree must be >= 0, got {q}")
-    return (space.series**s).expand(q)[q]
+    _check_stage(s, q)
+    if s > q:
+        return 0
+    one = [1] + [0] * q
+    return _powers(one, _positive_betti(space, q), s, q)[s][q]
 
 
 def smash_quotient_betti(pair: PairInclusion, s: int, q: int) -> int:
@@ -226,10 +195,11 @@ def smash_quotient_betti(pair: PairInclusion, s: int, q: int) -> int:
 def loop_series_oracle(pair: PairInclusion, bound: int) -> TruncSeries:
     """Loop-space Betti numbers by direct summation over filtration stages.
 
-    Degree q collects smash_quotient_betti over stages 1..q; higher stages
-    contribute nothing (smash powers start in degree s, the fat diagonal
-    vanishes for s > q).  Degree 0 is 0.  This never consults the closed
-    form, so it serves as an independent cross-check of it.
+    Degree q collects the smash quotients' Betti numbers over stages 1..q;
+    higher stages contribute nothing (smash powers start in degree s, the
+    fat diagonal vanishes for s > q).  Degree 0 is 0.  One power table and
+    one Pascal table serve every stage and degree.  This never consults the
+    closed form, so it serves as an independent cross-check of it.
     """
     if not pair.ambient.is_path_connected:
         raise PathConnectednessViolation(
@@ -243,7 +213,14 @@ def loop_series_oracle(pair: PairInclusion, bound: int) -> TruncSeries:
         )
     if bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {bound}")
+    table = _power_table(pair, bound, bound)
+    pascal = _pascal(bound)
     coeffs = [0]
     for q in range(1, bound + 1):
-        coeffs.append(sum(smash_quotient_betti(pair, s, q) for s in range(1, q + 1)))
+        coeffs.append(
+            sum(
+                table[s][0][q] + _fat_diagonal(table, pascal, s, q - 1)
+                for s in range(1, q + 1)
+            )
+        )
     return TruncSeries(coeffs, bound)

@@ -176,7 +176,10 @@ def parse_catalog(data: object) -> dict[str, SpaceProfile]:
         if not isinstance(name, str) or not name:
             raise ValueError(f"catalog entry {i}: name must be a nonempty string")
         for label, arr in (("numerator", num), ("denominator", den)):
-            if not isinstance(arr, list) or not all(isinstance(c, int) for c in arr):
+            # bool subclasses int, so JSON true/false would pass as 1/0.
+            if not isinstance(arr, list) or not all(
+                isinstance(c, int) and not isinstance(c, bool) for c in arr
+            ):
                 raise ValueError(f"catalog entry {name!r}: {label} must be a list of integers")
         if not den or den[0] == 0:
             raise ValueError(

@@ -5,9 +5,14 @@ function's return value, never a raised SystemExit.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import loopspace
 from loopspace import cli
 from loopspace.gfcore import TruncSeries
 
@@ -173,6 +178,13 @@ def test_identity_failure_path(capsys, monkeypatch):
     assert "mismatch: k=0 m=0" in out
 
 
+def test_identity_rejects_negative_kmax(capsys):
+    code, out, err = run_cli(["identity", "--kmax", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--kmax" in err
+
+
 def test_catalog_names_usable_in_expressions(capsys, tmp_path):
     path = tmp_path / "catalog.json"
     path.write_text(
@@ -229,6 +241,19 @@ def test_malformed_catalog_json_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_bool_catalog_coefficient_exits_2(capsys, tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text(
+        '[{"name": "M", "numerator": [0, true], "denominator": [1], "diagonal_null": true}]'
+    )
+    code, out, err = run_cli(
+        ["compute", "--A", "M", "--Y", "S^2", "--catalog", str(path)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "numerator" in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli(["compute", "--A", "S^1"], capsys)[0] == 2  # missing --Y
     assert run_cli(["nonsense"], capsys)[0] == 2
@@ -256,3 +281,18 @@ def test_exit_codes_stay_in_contract(capsys):
     for argv in invocations:
         assert cli.main(argv) in (0, 1, 2), argv
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("module", ["loopspace", "loopspace.cli"])
+def test_runs_as_a_module(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(loopspace.__file__).parents[1]))
+    argv = ["compute", "--A", "S^1", "--Y", "S^2", "--degree", "4"]
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "num: [0,0,2,-1]",
+        "den: [1,-1,-2,1]",
+        "coeffs: [0,0,2,1,5]",
+    ]

@@ -1,27 +1,26 @@
-"""Multiindex counting, fat-diagonal Betti numbers, and the stagewise oracle.
+"""Binomials, fat-diagonal Betti numbers, and the stagewise oracle.
 
 ``delta_betti_direct`` below is the reference for the diagonal computation:
 it enumerates every multiindex pair with entries 1..q by raw cartesian
-product and checks the two defining constraints verbatim, with no support
-pruning and no composition recursion.  The library's pruned enumerator must
-match it everywhere it is feasible to run.
+product and checks the two defining constraints verbatim, with no power
+tables and no pruning.  The library's power-table sum must match
+it everywhere it is feasible to run.
 """
 
 import itertools
 import math
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopspace import formulas
 from loopspace.combinatorics import (
-    EMPTY,
-    MultiIndex,
     binom,
     binomial_gf_check,
-    diagonal_multiplicity,
     fat_diagonal_betti,
     loop_series_oracle,
-    multiindex_betti,
     smash_power_betti,
     smash_quotient_betti,
 )
@@ -33,7 +32,9 @@ from loopspace.spaces import (
     cone,
     point,
     projective,
+    smash,
     sphere,
+    suspend,
     wedge,
 )
 
@@ -136,49 +137,6 @@ def test_binomial_gf_check_rejects_bad_range():
         binomial_gf_check(2, 3, 10)
     with pytest.raises(ValueError):
         binomial_gf_check(2, -1, 10)
-
-
-# -------------------------------------------------------------- MultiIndex
-
-
-def test_multiindex_basics():
-    a = MultiIndex.of(2, 1, 2)
-    assert a.dim == 3
-    assert a.length == 5
-    assert list(a) == [2, 1, 2]
-    assert len(a) == 3
-    assert EMPTY.dim == 0
-    assert EMPTY.length == 0
-    assert a.dim <= a.length
-
-
-def test_multiindex_rejects_nonpositive_entries():
-    with pytest.raises(ValueError):
-        MultiIndex.of(0)
-    with pytest.raises(ValueError):
-        MultiIndex.of(2, -1)
-
-
-def test_multiindex_betti_products():
-    assert multiindex_betti(sphere(2), MultiIndex.of(2, 2), 4) == 1
-    assert multiindex_betti(sphere(2), EMPTY, 4) == 1
-    assert multiindex_betti(wedge(sphere(1), sphere(1)), MultiIndex.of(1, 1, 1), 3) == 8
-    assert multiindex_betti(sphere(2), MultiIndex.of(3), 4) == 0
-    with pytest.raises(ValueError):
-        multiindex_betti(sphere(2), MultiIndex.of(5), 4)
-
-
-# --------------------------------------------------- diagonal_multiplicity
-
-
-def test_diagonal_multiplicity_values():
-    assert diagonal_multiplicity(EMPTY, MultiIndex.of(1), 2) == 1
-    assert diagonal_multiplicity(MultiIndex.of(2), MultiIndex.of(1), 3) == 2
-    for lam in (EMPTY, MultiIndex.of(1), MultiIndex.of(3, 1)):
-        for s in (1, 2, 5):
-            assert diagonal_multiplicity(lam, EMPTY, s) == 0
-    with pytest.raises(ValueError):
-        diagonal_multiplicity(EMPTY, MultiIndex.of(1), 0)
 
 
 # ------------------------------------------------------- fat_diagonal_betti
@@ -320,3 +278,41 @@ def test_oracle_hypothesis_gates():
         loop_series_oracle(PairInclusion(sub=projective(2), ambient=sphere(2)), 4)
     with pytest.raises(ValueError):
         loop_series_oracle(PAIR_CIRCLE_IN_TWO_SPHERE, -1)
+
+
+def test_oracle_reaches_degree_100_on_the_projective_pair():
+    pair = PairInclusion(sub=wedge(sphere(1), sphere(1)), ambient=projective(math.inf))
+    start = time.perf_counter()
+    oracle = loop_series_oracle(pair, 100)
+    elapsed = time.perf_counter() - start
+    assert oracle == formulas.loop_series(pair).expand(100)
+    assert elapsed < 10.0, f"oracle took {elapsed:.1f} s at degree 100"
+
+
+ATOMS = st.one_of(
+    st.integers(min_value=1, max_value=4).map(sphere),
+    st.just(projective(1)),
+    st.just(projective(math.inf)),
+    st.just(point()),
+)
+
+SPACES = st.recursive(
+    ATOMS,
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda ab: wedge(*ab)),
+        st.tuples(inner, inner).map(lambda ab: smash(*ab)),
+        inner.map(suspend),
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sub=SPACES.filter(lambda space: space.diagonal_null),
+    ambient=SPACES.filter(lambda space: space.is_path_connected),
+    bound=st.integers(min_value=0, max_value=12),
+)
+def test_oracle_matches_closed_form_on_random_pairs(sub, ambient, bound):
+    pair = PairInclusion(sub=sub, ambient=ambient)
+    assert loop_series_oracle(pair, bound) == formulas.loop_series(pair).expand(bound)

@@ -232,6 +232,14 @@ def test_parse_catalog_rejects_bad_shapes():
         parse_catalog([_entry(), _entry()])  # duplicate name
 
 
+def test_parse_catalog_rejects_bool_coefficients():
+    # JSON true decodes to a bool, which is an int subclass equal to 1.
+    with pytest.raises(ValueError, match="numerator"):
+        parse_catalog([_entry(num=(0, True))])
+    with pytest.raises(ValueError, match="denominator"):
+        parse_catalog([_entry(den=(True, False))])
+
+
 def test_parse_catalog_enforces_profile_invariants():
     # diagonal_null with nonzero constant coefficient is contradictory
     with pytest.raises(HypothesisViolation):
