@@ -28,7 +28,7 @@ from .errors import (
 from .formulas import (
     bott_samelson_series,
     bousfield_curtis_series,
-    collapse_check,
+    collapse_series,
     euler_series_e1,
     euler_series_einf,
     loop_series,
@@ -37,7 +37,6 @@ from .gfcore import ONE, T, ZERO, IntPolynomial, RationalGF, TruncSeries, poly_g
 from .spaces import (
     PairInclusion,
     SpaceProfile,
-    combine,
     cone,
     load_catalog,
     parse_catalog,
@@ -73,8 +72,7 @@ __all__ = [
     "binomial_gf_check",
     "bott_samelson_series",
     "bousfield_curtis_series",
-    "collapse_check",
-    "combine",
+    "collapse_series",
     "cone",
     "euler_series_e1",
     "euler_series_einf",

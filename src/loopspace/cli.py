@@ -10,20 +10,26 @@ Four subcommands:
 Exit codes are part of the contract: 0 success, 1 a verification or
 identity mismatch, 2 usage or hypothesis errors.  Nothing else.
 All numeric output is exact integers; diagnostics go to stderr.
+Inputs beyond the documented limits (``--degree`` above ``MAX_DEGREE``,
+``spaceexpr.MAX_DEPTH``, ``spaces.MAX_DIMENSION``) are usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import combinatorics, formulas, spaces
 from .errors import LoopspaceError
 from .gfcore import RationalGF
-from .spaces import PairInclusion, SpaceProfile
+from .spaces import PairInclusion
 from .spaceexpr import evaluate, parse_space
+
+#: Largest --degree accepted; expansion time and memory grow with it.
+MAX_DEGREE = 10_000
 
 
 def _fmt_list(values: Sequence[int]) -> str:
@@ -35,27 +41,39 @@ def _poly_list(series: RationalGF, part: str) -> list[int]:
     return list(poly.coeffs) or [0]
 
 
-def _load_catalog(path: str | None) -> dict[str, SpaceProfile] | None:
-    if path is None:
-        return None
-    return spaces.load_catalog(path)
+def _check_degree(degree: int) -> None:
+    if not 0 <= degree <= MAX_DEGREE:
+        raise ValueError(f"--degree must be between 0 and {MAX_DEGREE}, got {degree}")
 
 
 def _build_pair(
-    a_text: str,
-    y_text: str,
-    catalog: Mapping[str, SpaceProfile] | None,
-    mono: bool = False,
+    args: argparse.Namespace, degree: int | None = None, mono: bool = False
 ) -> PairInclusion:
-    sub = evaluate(parse_space(a_text, catalog), catalog)
-    ambient = evaluate(parse_space(y_text, catalog), catalog)
+    """The pair named by --A and --Y, resolved against --catalog if given.
+
+    With a degree, a catalog-built A or Y whose series has a negative
+    coefficient up to that degree is refused, since it cannot hold Betti
+    numbers.  Built-in atoms and their wedges, smashes and suspensions are
+    never negative, so without a catalog nothing is expanded here.
+    """
+    catalog = None if args.catalog is None else spaces.load_catalog(args.catalog)
+    sub = evaluate(parse_space(args.A, catalog), catalog)
+    ambient = evaluate(parse_space(args.Y, catalog), catalog)
+    if catalog is not None and degree is not None:
+        for space in (sub, ambient):
+            for q, b in enumerate(space.betti(degree)):
+                if b < 0:
+                    raise ValueError(
+                        f"{space.name}: series coefficient {b} of t^{q} is negative, "
+                        "so it cannot hold Betti numbers"
+                    )
     return PairInclusion(sub=sub, ambient=ambient, mono_in_homology=mono)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    catalog = _load_catalog(args.catalog)
-    pair = _build_pair(args.A, args.Y, catalog)
-    series = formulas.loop_series(pair).normalized()
+    _check_degree(args.degree)
+    pair = _build_pair(args, args.degree)
+    series = formulas.loop_series(pair)
     coeffs = list(series.expand(args.degree).coeffs)
     num = _poly_list(series, "num")
     den = _poly_list(series, "den")
@@ -79,8 +97,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    catalog = _load_catalog(args.catalog)
-    pair = _build_pair(args.A, args.Y, catalog)
+    _check_degree(args.degree)
+    pair = _build_pair(args, args.degree)
     closed = list(formulas.loop_series(pair).expand(args.degree).coeffs)
     oracle = list(combinatorics.loop_series_oracle(pair, args.degree).coeffs)
     diff = [c - o for c, o in zip(closed, oracle)]
@@ -96,13 +114,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_collapse(args: argparse.Namespace) -> int:
-    catalog = _load_catalog(args.catalog)
-    pair = _build_pair(args.A, args.Y, catalog, mono=args.mono)
+    pair = _build_pair(args, mono=args.mono)
     # The mono flag is a user assertion; injectivity of the pair map in
     # homology cannot be read off from the series, so a wrong assertion
     # here still produces a (vacuously) equal comparison.
-    e1 = formulas.euler_series_e1(spaces.union_series(pair)).normalized()
-    einf = formulas.euler_series_einf(formulas.loop_series(pair)).normalized()
+    e1, einf = formulas.collapse_series(pair)
     print(f"chi E1:   {e1}")
     print(f"chi Einf: {einf}")
     if e1 == einf:
@@ -115,6 +131,7 @@ def cmd_collapse(args: argparse.Namespace) -> int:
 def cmd_identity(args: argparse.Namespace) -> int:
     if args.kmax < 0:
         raise ValueError(f"--kmax must be >= 0, got {args.kmax}")
+    _check_degree(args.degree)
     failures = []
     total = 0
     for k in range(args.kmax + 1):
@@ -136,7 +153,9 @@ def _add_pair_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--catalog", metavar="FILE", help="JSON catalog of named spaces")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="loopspace",
         description="Exact mod-2 Betti series of looped smash-product unions.",

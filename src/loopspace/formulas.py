@@ -7,9 +7,10 @@ a plausible but wrong series.
 
 from __future__ import annotations
 
+from . import spaces
 from .errors import HypothesisViolation, PathConnectednessViolation
 from .gfcore import ONE, RationalGF, T
-from .spaces import PairInclusion, SpaceProfile, union_series
+from .spaces import PairInclusion, SpaceProfile
 
 
 def _require_path_connected(space: SpaceProfile) -> None:
@@ -63,7 +64,7 @@ def loop_series(pair: PairInclusion) -> RationalGF:
 
         ((1-t) P(Y) + t P(A)) / (1 - t - (1-t) P(Y) - t P(A)),
 
-    normalized.  Specializations: A = pt recovers the suspension formula,
+    in lowest terms.  Specializations: A = pt recovers the suspension formula,
     A = Y gives P(A)/(1 - t - P(A)), Y contractible gives
     t P(A)/(1 - t - t P(A)).
     """
@@ -106,15 +107,15 @@ def euler_series_einf(loop_space_series: RationalGF) -> RationalGF:
     return loop_space_series + ONE
 
 
-def collapse_check(pair: PairInclusion) -> bool:
-    """Compare the Euler series of the first and limit terms exactly.
+def collapse_series(pair: PairInclusion) -> tuple[RationalGF, RationalGF]:
+    """Euler series of the first and limit terms, (E1, Einf), for comparison.
 
     Requires the inclusion declared a monomorphism in homology (so the
     union's series is the split Mayer-Vietoris sum), the ambient space
     path-connected and the subspace diagonal-null.  Under those hypotheses
-    the two rational functions agree identically; a False return means the
+    the two rational functions agree identically; unequal results mean the
     implementation, not the mathematics, is broken.
     """
-    e1 = euler_series_e1(union_series(pair))
+    e1 = euler_series_e1(spaces.union_series(pair))
     einf = euler_series_einf(loop_series(pair))
-    return e1 == einf
+    return e1, einf

@@ -2,8 +2,9 @@
 
 Everything here is big-integer exact: polynomials carry arbitrary-precision
 signed coefficients, rational functions are numerator/denominator pairs of
-such polynomials, and series expansion is an integer linear recurrence driven
-by the denominator.  No floats anywhere.
+such polynomials reduced to lowest terms once, when they are built, and
+series expansion is an integer linear recurrence driven by the denominator.
+No floats anywhere.
 """
 
 from __future__ import annotations
@@ -294,28 +295,6 @@ class TruncSeries:
             return NotImplemented
         return self._bound == other._bound and self._coeffs == other._coeffs
 
-    def _check_bound(self, other: TruncSeries) -> None:
-        if self._bound != other._bound:
-            raise ValueError(f"bound mismatch: {self._bound} != {other._bound}")
-
-    def __add__(self, other: TruncSeries) -> TruncSeries:
-        self._check_bound(other)
-        return TruncSeries([a + b for a, b in zip(self._coeffs, other._coeffs)])
-
-    def __sub__(self, other: TruncSeries) -> TruncSeries:
-        self._check_bound(other)
-        return TruncSeries([a - b for a, b in zip(self._coeffs, other._coeffs)])
-
-    def __mul__(self, other: TruncSeries) -> TruncSeries:
-        self._check_bound(other)
-        out = [0] * (self._bound + 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j in range(self._bound + 1 - i):
-                out[i + j] += a * other._coeffs[j]
-        return TruncSeries(out)
-
     def __repr__(self) -> str:
         return f"TruncSeries({list(self._coeffs)})"
 
@@ -323,11 +302,12 @@ class TruncSeries:
 class RationalGF:
     """Ratio of integer polynomials, expandable as a power series at t = 0.
 
-    The denominator must be nonzero with nonzero constant term.  Values are
-    immutable; arithmetic always returns the normalized representative
-    (numerator and denominator coprime over Z, denominator positive at 0),
-    and ``==`` tests mathematical equality by cross-multiplying, so distinct
-    representatives of one function compare equal.
+    Every value is canonical: the constructor divides out the gcd, so
+    numerator and denominator are coprime over Z (content included), and
+    fixes the sign so the denominator is positive at t = 0.  A zero
+    numerator gets denominator 1.  One rational function therefore has one
+    representation, ``==`` compares numerator and denominator componentwise,
+    and values hash.  Values are immutable.
     """
 
     __slots__ = ("_num", "_den")
@@ -343,10 +323,22 @@ class RationalGF:
             raise TypeError("numerator and denominator must be IntPolynomial or int")
         if den.is_zero:
             raise ZeroDenominatorError("denominator is the zero polynomial")
+        # Cancel before vetting den(0): a quotient such as t^2/(t - t^2)
+        # has a denominator vanishing at 0 that cancels to t/(1 - t).  Over
+        # den = 1 there is nothing to cancel, so polynomials skip the gcd.
+        if num.is_zero:
+            den = IntPolynomial((1,))
+        elif den != 1:
+            g = poly_gcd(num, den)
+            if g.degree > 0 or g.constant != 1:
+                num = num.divexact(g)
+                den = den.divexact(g)
         if den.constant == 0:
             raise NonUnitConstantError(
                 "denominator has zero constant term; no power-series expansion"
             )
+        if den.constant < 0:
+            num, den = -num, -den
         self._num = num
         self._den = den
 
@@ -366,59 +358,30 @@ class RationalGF:
         return self._den
 
     def normalized(self) -> RationalGF:
-        """The unique reduced representative with den(0) > 0.
+        """Return self, which the constructor has already reduced.
 
-        Dividing out the integer-polynomial gcd makes numerator and
-        denominator coprime (content included); the sign is then fixed so the
-        denominator is positive at t = 0.  Equality of normalized forms is
-        componentwise.
+        Kept only because the benchmark's tracer wraps this method by name.
         """
-        num, den = self._num, self._den
-        if num.is_zero:
-            return RationalGF(IntPolynomial(), IntPolynomial((1,)))
-        g = poly_gcd(num, den)
-        if g.degree > 0 or g.constant != 1:
-            num = num.divexact(g)
-            den = den.divexact(g)
-        if den.constant < 0:
-            num, den = -num, -den
-        return RationalGF(num, den)
-
-    @staticmethod
-    def _reduced(num: IntPolynomial, den: IntPolynomial) -> RationalGF:
-        """Normalize a raw pair, cancelling before the den(0) != 0 check.
-
-        Division can produce an intermediate denominator that vanishes at 0
-        yet cancels against the numerator (t^2/(t - t^2) -> t/(1 - t)), so
-        the gcd comes out first and only the reduced denominator is vetted.
-        """
-        if den.is_zero:
-            raise ZeroDenominatorError("denominator is the zero polynomial")
-        if num.is_zero:
-            return RationalGF(IntPolynomial(), IntPolynomial((1,)))
-        g = poly_gcd(num, den)
-        if g.degree > 0 or g.constant != 1:
-            num = num.divexact(g)
-            den = den.divexact(g)
-        if den.constant < 0:
-            num, den = -num, -den
-        return RationalGF(num, den)
+        return self
 
     def __eq__(self, other: object) -> bool:
         other = _as_ratgf(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._num * other._den == other._num * self._den
+        return self._num == other._num and self._den == other._den
+
+    def __hash__(self) -> int:
+        return hash((self._num, self._den))
 
     def __neg__(self) -> RationalGF:
-        return self._reduced(-self._num, self._den)
+        return RationalGF(-self._num, self._den)
 
     def __add__(self, other: RationalGF | IntPolynomial | int) -> RationalGF:
         other = _as_ratgf(other)
         if other is NotImplemented:
             return NotImplemented
         num = self._num * other._den + other._num * self._den
-        return self._reduced(num, self._den * other._den)
+        return RationalGF(num, self._den * other._den)
 
     __radd__ = __add__
 
@@ -427,7 +390,7 @@ class RationalGF:
         if other is NotImplemented:
             return NotImplemented
         num = self._num * other._den - other._num * self._den
-        return self._reduced(num, self._den * other._den)
+        return RationalGF(num, self._den * other._den)
 
     def __rsub__(self, other: RationalGF | IntPolynomial | int) -> RationalGF:
         other = _as_ratgf(other)
@@ -439,7 +402,7 @@ class RationalGF:
         other = _as_ratgf(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._reduced(self._num * other._num, self._den * other._den)
+        return RationalGF(self._num * other._num, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -447,7 +410,7 @@ class RationalGF:
         other = _as_ratgf(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._reduced(self._num * other._den, self._den * other._num)
+        return RationalGF(self._num * other._den, self._den * other._num)
 
     def __rtruediv__(self, other: RationalGF | IntPolynomial | int) -> RationalGF:
         other = _as_ratgf(other)
@@ -455,18 +418,12 @@ class RationalGF:
             return NotImplemented
         return other / self
 
-    def __pow__(self, exponent: int) -> RationalGF:
-        if exponent < 0:
-            raise ValueError("negative powers are not supported; divide explicitly")
-        return self._reduced(self._num**exponent, self._den**exponent)
-
     def expand(self, bound: int) -> TruncSeries:
         """Power-series coefficients a_0..a_bound, exactly.
 
         Solves den * a = num degree by degree; each step divides by den(0)
         and raises :class:`NonIntegerSeriesError` if that division has a
         remainder (the true coefficient is then a non-integer rational).
-        The result does not depend on the choice of representative.
         """
         if bound < 0:
             raise ValueError("expansion bound must be nonnegative")
@@ -484,10 +441,6 @@ class RationalGF:
                 )
             out.append(coeff)
         return TruncSeries(out)
-
-    def coefficient(self, degree: int) -> int:
-        """Single series coefficient (expands up to ``degree``)."""
-        return self.expand(degree)[degree]
 
     def __str__(self) -> str:
         if self._den == IntPolynomial((1,)):

@@ -11,6 +11,12 @@ binding tighter than wedge):
 Identifiers resolve against a loaded catalog.  ``S``, ``RP``, ``pt``,
 ``susp``, ``cone``, ``v`` and ``inf`` are only special in the positions the
 grammar puts them; elsewhere they lex as ordinary identifiers.
+
+An expression's depth counts, along its deepest path, every parenthesis,
+``susp(`` and ``cone(`` and every wedge or smash operator, so a chain of n
+terms has depth n - 1.  Parsing refuses a depth above ``MAX_DEPTH`` with a
+ParseError, which keeps evaluation and printing far from Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from typing import Mapping
 from . import spaces
 from .errors import ParseError, UnknownName
 from .spaces import SpaceProfile
+
+MAX_DEPTH = 100
 
 
 class SpaceExpr:
@@ -152,36 +160,53 @@ class _Parser:
             raise self.fail(tok, expected)
         return self.advance()
 
-    def parse_expr(self) -> SpaceExpr:
-        node = self.parse_term()
+    def deeper(self, depth: int, tok: _Token) -> int:
+        """depth + 1, or a ParseError at tok when that exceeds MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            raise ParseError(
+                f"expression deeper than {MAX_DEPTH} levels at offset {tok.offset}",
+                tok.offset,
+            )
+        return depth + 1
+
+    # Each parse_* method returns (tree, depth of the text it consumed).
+
+    def parse_expr(self, nesting: int) -> tuple[SpaceExpr, int]:
+        node, depth = self.parse_term(nesting)
         while self.peek().kind == "ident" and self.peek().text == "v":
-            self.advance()
-            node = Wedge(node, self.parse_term())
-        return node
+            tok = self.advance()
+            right, right_depth = self.parse_term(nesting)
+            node, depth = Wedge(node, right), self.deeper(max(depth, right_depth), tok)
+        return node, depth
 
-    def parse_term(self) -> SpaceExpr:
-        node = self.parse_factor()
+    def parse_term(self, nesting: int) -> tuple[SpaceExpr, int]:
+        node, depth = self.parse_factor(nesting)
         while self.peek().kind == "caret":
-            self.advance()
-            node = Smash(node, self.parse_factor())
-        return node
+            tok = self.advance()
+            right, right_depth = self.parse_factor(nesting)
+            node, depth = Smash(node, right), self.deeper(max(depth, right_depth), tok)
+        return node, depth
 
-    def parse_factor(self) -> SpaceExpr:
+    def parse_factor(self, nesting: int) -> tuple[SpaceExpr, int]:
         tok = self.peek()
         if tok.kind == "lparen":
             self.advance()
-            node = self.parse_expr()
-            self.expect("rparen", (")",))
-            return node
+            return self.parse_nested(nesting, tok)
         if tok.kind == "ident":
             if tok.text in ("susp", "cone") and self.tokens[self.pos + 1].kind == "lparen":
                 self.advance()
                 self.advance()
-                inner = self.parse_expr()
-                self.expect("rparen", (")",))
-                return Susp(inner) if tok.text == "susp" else Cone(inner)
-            return self.parse_atom()
+                inner, depth = self.parse_nested(nesting, tok)
+                return (Susp(inner) if tok.text == "susp" else Cone(inner)), depth
+            return self.parse_atom(), 0
         raise self.fail(tok, _FACTOR_EXPECTED)
+
+    def parse_nested(self, nesting: int, opener: _Token) -> tuple[SpaceExpr, int]:
+        """The expression after an opening parenthesis, through its ')'."""
+        # Refused on the way down too, before the recursion can run deep.
+        node, depth = self.parse_expr(self.deeper(nesting, opener))
+        self.expect("rparen", (")",))
+        return node, self.deeper(depth, opener)
 
     def parse_atom(self) -> SpaceExpr:
         tok = self.advance()
@@ -211,11 +236,11 @@ def parse_space(text: str, catalog: Mapping[str, SpaceProfile] | None = None) ->
     """Parse a space expression; with a catalog, names are resolved eagerly.
 
     Raises ParseError (with offset and expected-token set) on malformed
-    input and UnknownName when a catalog is given and an identifier is
-    missing from it.
+    input or a depth above MAX_DEPTH, and UnknownName when a catalog is
+    given and an identifier is missing from it.
     """
     parser = _Parser(_tokenize(text), catalog)
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr(0)
     end = parser.peek()
     if end.kind != "end":
         raise parser.fail(end, ("v", "^", "end of input"))

@@ -19,9 +19,11 @@ import os
 from dataclasses import dataclass
 
 from .errors import HypothesisViolation
-from .gfcore import IntPolynomial, RationalGF, T
+from .gfcore import ZERO, IntPolynomial, RationalGF, T
 
-_ZERO_SERIES = RationalGF(IntPolynomial())
+#: Largest finite sphere or projective dimension accepted.  It is checked
+#: before the n + 1 coefficients of the series are allocated.
+MAX_DIMENSION = 1000
 
 
 @dataclass(frozen=True)
@@ -69,14 +71,14 @@ class PairInclusion:
 
 
 def sphere(n: int) -> SpaceProfile:
-    """The n-sphere, n >= 1: one reduced class in degree n, null diagonal."""
-    if n < 1:
-        raise ValueError(f"sphere dimension must be >= 1, got {n}")
+    """The n-sphere, 1 <= n <= MAX_DIMENSION: one reduced class in degree n, null diagonal."""
+    if not 1 <= n <= MAX_DIMENSION:
+        raise ValueError(f"sphere dimension must be between 1 and {MAX_DIMENSION}, got {n}")
     return SpaceProfile(f"S^{n}", RationalGF(IntPolynomial.monomial(n)), diagonal_null=True)
 
 
 def projective(n: int | float) -> SpaceProfile:
-    """Real projective n-space, n >= 1 or math.inf.
+    """Real projective n-space, 1 <= n <= MAX_DIMENSION or math.inf.
 
     Mod 2 there is one reduced class in each degree 1..n; the infinite case
     has series t/(1-t).  Only the line (n = 1, a circle) is diagonal-null;
@@ -85,20 +87,23 @@ def projective(n: int | float) -> SpaceProfile:
     if n == math.inf:
         series = RationalGF(IntPolynomial((0, 1)), IntPolynomial((1, -1)))
         return SpaceProfile("RP^inf", series, diagonal_null=False)
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"projective dimension must be a positive integer or inf, got {n}")
+    if not isinstance(n, int) or not 1 <= n <= MAX_DIMENSION:
+        raise ValueError(
+            f"projective dimension must be an integer between 1 and {MAX_DIMENSION} "
+            f"or inf, got {n}"
+        )
     series = RationalGF(IntPolynomial([0] + [1] * n))
     return SpaceProfile(f"RP^{n}", series, diagonal_null=(n == 1))
 
 
 def point() -> SpaceProfile:
     """The one-point space: zero reduced homology."""
-    return SpaceProfile("pt", _ZERO_SERIES, diagonal_null=True)
+    return SpaceProfile("pt", ZERO, diagonal_null=True)
 
 
 def cone(space: SpaceProfile) -> SpaceProfile:
     """The cone on a space: contractible, so the zero series."""
-    return SpaceProfile(f"cone({space.name})", _ZERO_SERIES, diagonal_null=True)
+    return SpaceProfile(f"cone({space.name})", ZERO, diagonal_null=True)
 
 
 def wedge(a: SpaceProfile, b: SpaceProfile) -> SpaceProfile:
@@ -120,15 +125,6 @@ def smash(a: SpaceProfile, b: SpaceProfile) -> SpaceProfile:
         a.series * b.series,
         diagonal_null=a.diagonal_null or b.diagonal_null,
     )
-
-
-def combine(a: SpaceProfile, b: SpaceProfile, op: str) -> SpaceProfile:
-    """Dispatch on op in {"wedge", "smash"}."""
-    if op == "wedge":
-        return wedge(a, b)
-    if op == "smash":
-        return smash(a, b)
-    raise ValueError(f"unknown combination {op!r}; expected 'wedge' or 'smash'")
 
 
 def suspend(a: SpaceProfile) -> SpaceProfile:

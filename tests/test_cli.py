@@ -254,6 +254,68 @@ def test_bool_catalog_coefficient_exits_2(capsys, tmp_path):
     assert "numerator" in err
 
 
+def write_catalog(tmp_path, numerator):
+    path = tmp_path / "catalog.json"
+    entry = {"name": "M", "numerator": numerator, "denominator": [1], "diagonal_null": True}
+    path.write_text(json.dumps([entry]))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_negative_catalog_series_exits_2(capsys, tmp_path, command):
+    catalog = write_catalog(tmp_path, [0, -1])
+    for a, y in (("M", "S^2"), ("pt", "S^2 v M")):
+        argv = [command, "--A", a, "--Y", y, "--degree", "5", "--catalog", catalog]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "negative" in err and "t^1" in err
+
+
+def test_negative_coefficient_beyond_degree_is_not_checked(capsys, tmp_path):
+    catalog = write_catalog(tmp_path, [0, 0, 1, 0, 0, -1])
+    argv = ["compute", "--A", "M", "--Y", "S^2", "--degree", "4", "--catalog", catalog]
+    assert run_cli(argv, capsys)[0] == 0
+    argv[argv.index("4")] = "5"
+    assert run_cli(argv, capsys)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--A", "pt", "--Y", "(" * 5000 + "S^1" + ")" * 5000],
+        ["compute", "--A", "pt", "--Y", " v ".join(["S^1"] * 3000)],
+        ["verify", "--A", "S^99999999999", "--Y", "S^2"],
+        ["compute", "--A", "pt", "--Y", "RP^99999999999"],
+        ["compute", "--A", "pt", "--Y", "S^1", "--degree", str(cli.MAX_DEGREE + 1)],
+        ["verify", "--A", "pt", "--Y", "S^1", "--degree", str(cli.MAX_DEGREE + 1)],
+        ["identity", "--kmax", "1", "--degree", str(cli.MAX_DEGREE + 1)],
+    ],
+)
+def test_inputs_beyond_the_limits_exit_2(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    sequence = [
+        ["compute", "--A", "S^1", "--Y", "S^2", "--degree", "6"],
+        ["compute", "--A", "S^1"],  # usage error: --Y missing
+        ["verify", "--A", "S^1", "--Y", "cone(S^1)", "--degree", "5"],
+        ["collapse", "--A", "S^1", "--Y", "S^1 v S^2", "--mono"],
+    ]
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(argv, capsys))
+    reused = [run_cli(argv, capsys) for argv in sequence]
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli(["compute", "--A", "S^1"], capsys)[0] == 2  # missing --Y
     assert run_cli(["nonsense"], capsys)[0] == 2

@@ -8,6 +8,7 @@ from loopspace.errors import HypothesisViolation, ParseError, UnknownName
 from loopspace.gfcore import RationalGF
 from loopspace.spaces import SpaceProfile, sphere
 from loopspace.spaceexpr import (
+    MAX_DEPTH,
     Cone,
     Named,
     Point,
@@ -83,6 +84,24 @@ def test_parse_error_carries_expected_tokens():
     with pytest.raises(ParseError) as info:
         parse_space("v S^1")
     assert info.value.expected  # nonempty description of what was allowed
+
+
+def test_depth_limit():
+    # parentheses, susp( and cone( each count one level, as does each operator
+    at_limit = "(" * MAX_DEPTH + "S^1" + ")" * MAX_DEPTH
+    assert parse_space(at_limit) == Sphere(1)
+    assert isinstance(parse_space(" v ".join(["S^1"] * (MAX_DEPTH + 1))), Wedge)
+    too_deep = [
+        "(" * (MAX_DEPTH + 1) + "S^1" + ")" * (MAX_DEPTH + 1),
+        "susp(" * (MAX_DEPTH + 1) + "pt" + ")" * (MAX_DEPTH + 1),
+        " ^ ".join(["S^1"] * (MAX_DEPTH + 2)),
+        "(" * 50 + " v ".join(["S^1"] * (MAX_DEPTH - 48)) + ")" * 50,  # 50 + 51 levels
+        "(" * 5000 + "S^1" + ")" * 5000,
+        " v ".join(["S^1"] * 3000),
+    ]
+    for text in too_deep:
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH}"):
+            parse_space(text)
 
 
 def test_catalog_names_resolve_eagerly():

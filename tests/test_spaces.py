@@ -7,11 +7,11 @@ import random
 import pytest
 
 from loopspace.errors import HypothesisViolation
-from loopspace.gfcore import RationalGF, T, TruncSeries
+from loopspace.gfcore import IntPolynomial, RationalGF, T, TruncSeries
 from loopspace.spaces import (
+    MAX_DIMENSION,
     PairInclusion,
     SpaceProfile,
-    combine,
     cone,
     load_catalog,
     parse_catalog,
@@ -41,13 +41,29 @@ def test_sphere_rejects_nonpositive_dimension():
         sphere(-2)
 
 
+def test_dimensions_above_the_limit_are_refused():
+    assert sphere(MAX_DIMENSION).series == RationalGF(IntPolynomial.monomial(MAX_DIMENSION))
+    with pytest.raises(ValueError, match="between 1 and"):
+        sphere(MAX_DIMENSION + 1)
+    with pytest.raises(ValueError, match="between 1 and"):
+        projective(99_999_999_999)  # refused before any coefficient list is built
+
+
+def test_profiles_hash():
+    assert hash(sphere(2)) == hash(sphere(2))
+    seen = {sphere(2): "S^2", projective(math.inf): "RP^inf"}
+    assert seen[sphere(2)] == "S^2"
+    assert seen[projective(math.inf)] == "RP^inf"
+    assert wedge(sphere(1), sphere(1)) in {wedge(sphere(1), sphere(1))}
+
+
 def test_projective_line_is_the_circle():
     p1 = projective(1)
     s1 = sphere(1)
     assert p1.series == s1.series
     assert p1.diagonal_null == s1.diagonal_null
-    assert p1.series.normalized().num.coeffs == s1.series.normalized().num.coeffs
-    assert p1.series.normalized().den.coeffs == s1.series.normalized().den.coeffs
+    assert p1.series.num.coeffs == s1.series.num.coeffs
+    assert p1.series.den.coeffs == s1.series.den.coeffs
 
 
 def test_projective_finite_and_infinite():
@@ -94,15 +110,6 @@ def test_smash_multiplies_series():
     # one null factor suffices
     assert smash(sphere(1), projective(3)).diagonal_null
     assert not smash(projective(2), projective(3)).diagonal_null
-
-
-def test_combine_dispatch():
-    assert combine(sphere(1), sphere(1), "wedge").series == RationalGF.from_coeffs([0, 2])
-    assert combine(sphere(1), sphere(2), "smash").series == RationalGF.from_coeffs(
-        [0, 0, 0, 1]
-    )
-    with pytest.raises(ValueError):
-        combine(sphere(1), sphere(1), "join")
 
 
 def test_suspend_shifts_degree():
