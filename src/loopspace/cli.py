@@ -11,7 +11,9 @@ Exit codes are part of the contract: 0 success, 1 a verification or
 identity mismatch, 2 usage or hypothesis errors.  Nothing else.
 All numeric output is exact integers; diagnostics go to stderr.
 Inputs beyond the documented limits (``--degree`` above ``MAX_DEGREE``,
-``spaceexpr.MAX_DEPTH``, ``spaces.MAX_DIMENSION``) are usage errors.
+``--kmax`` above ``MAX_KMAX``, ``spaceexpr.MAX_DEPTH``,
+``spaces.MAX_DIMENSION``) are usage errors, and so is a coefficient too long
+for Python's int-to-str limit, which is read and never changed.
 """
 
 from __future__ import annotations
@@ -24,26 +26,36 @@ from typing import Sequence
 
 from . import combinatorics, formulas, spaces
 from .errors import LoopspaceError
-from .gfcore import RationalGF
 from .spaces import PairInclusion
 from .spaceexpr import evaluate, parse_space
 
 #: Largest --degree accepted; expansion time and memory grow with it.
 MAX_DEGREE = 10_000
 
+#: Largest --kmax accepted.  identity checks (kmax + 1)(kmax + 2)/2 pairs,
+#: each expanded to --degree; at kmax 12 and degree 10000 that takes seconds.
+MAX_KMAX = 12
+
 
 def _fmt_list(values: Sequence[int]) -> str:
     return "[" + ",".join(str(v) for v in values) + "]"
 
 
-def _poly_list(series: RationalGF, part: str) -> list[int]:
-    poly = series.num if part == "num" else series.den
-    return list(poly.coeffs) or [0]
+def _check_printable(*rows: Sequence[int]) -> None:
+    """Refuse, naming its degree, the first coefficient too long for str()."""
+    limit = sys.get_int_max_str_digits()
+    too_long = 10**limit
+    if limit and any(max(map(abs, row)) >= too_long for row in rows):
+        q = min(i for row in rows for i, c in enumerate(row) if abs(c) >= too_long)
+        raise ValueError(
+            f"the coefficient of t^{q} has more than {limit} digits, too long "
+            f"to print; lower --degree below {q}"
+        )
 
 
-def _check_degree(degree: int) -> None:
-    if not 0 <= degree <= MAX_DEGREE:
-        raise ValueError(f"--degree must be between 0 and {MAX_DEGREE}, got {degree}")
+def _check_limit(flag: str, value: int, limit: int) -> None:
+    if not 0 <= value <= limit:
+        raise ValueError(f"{flag} must be between 0 and {limit}, got {value}")
 
 
 def _build_pair(
@@ -71,12 +83,13 @@ def _build_pair(
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    _check_degree(args.degree)
+    _check_limit("--degree", args.degree, MAX_DEGREE)
     pair = _build_pair(args, args.degree)
     series = formulas.loop_series(pair)
     coeffs = list(series.expand(args.degree).coeffs)
-    num = _poly_list(series, "num")
-    den = _poly_list(series, "den")
+    _check_printable(coeffs)
+    num = list(series.num.coeffs) or [0]
+    den = list(series.den.coeffs)
     if args.format == "plain":
         print(f"num: {_fmt_list(num)}")
         print(f"den: {_fmt_list(den)}")
@@ -97,11 +110,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_degree(args.degree)
+    _check_limit("--degree", args.degree, MAX_DEGREE)
     pair = _build_pair(args, args.degree)
     closed = list(formulas.loop_series(pair).expand(args.degree).coeffs)
     oracle = list(combinatorics.loop_series_oracle(pair, args.degree).coeffs)
     diff = [c - o for c, o in zip(closed, oracle)]
+    _check_printable(closed, oracle, diff)
     print(f"closed form: {_fmt_list(closed)}")
     print(f"oracle:      {_fmt_list(oracle)}")
     print(f"diff:        {_fmt_list(diff)}")
@@ -129,21 +143,17 @@ def cmd_collapse(args: argparse.Namespace) -> int:
 
 
 def cmd_identity(args: argparse.Namespace) -> int:
-    if args.kmax < 0:
-        raise ValueError(f"--kmax must be >= 0, got {args.kmax}")
-    _check_degree(args.degree)
-    failures = []
-    total = 0
-    for k in range(args.kmax + 1):
-        for m in range(k + 1):
-            total += 1
-            if not combinatorics.binomial_gf_check(k, m, args.degree):
-                failures.append((k, m))
+    _check_limit("--kmax", args.kmax, MAX_KMAX)
+    _check_limit("--degree", args.degree, MAX_DEGREE)
+    pairs = [(k, m) for k in range(args.kmax + 1) for m in range(k + 1)]
+    failures = [
+        (k, m) for k, m in pairs if not combinatorics.binomial_gf_check(k, m, args.degree)
+    ]
     for k, m in failures:
         print(f"mismatch: k={k} m={m}")
     if failures:
         return 1
-    print(f"checked {total} binomial series pairs to degree {args.degree}: all agree")
+    print(f"checked {len(pairs)} binomial series pairs to degree {args.degree}: all agree")
     return 0
 
 

@@ -59,7 +59,7 @@ def _positive_betti(space: SpaceProfile, bound: int) -> list[tuple[int, int]]:
 
     Multiindex entries are positive, so degree 0 never enters a product.
     """
-    coeffs = space.betti(bound)
+    coeffs = space.betti(bound).coeffs
     return [(d, coeffs[d]) for d in range(1, bound + 1) if coeffs[d] != 0]
 
 
@@ -223,4 +223,4 @@ def loop_series_oracle(pair: PairInclusion, bound: int) -> TruncSeries:
                 for s in range(1, q + 1)
             )
         )
-    return TruncSeries(coeffs, bound)
+    return TruncSeries(coeffs)

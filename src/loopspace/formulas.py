@@ -3,13 +3,16 @@
 Every formula here is conditional on hypotheses about the input spaces;
 each gate raises with the name of the failed condition instead of emitting
 a plausible but wrong series.
+
+The three loop-space series are tensor-algebra series P/(c - P), each
+built by ``_tensor_series`` as one fraction that is reduced once.
 """
 
 from __future__ import annotations
 
 from . import spaces
 from .errors import HypothesisViolation, PathConnectednessViolation
-from .gfcore import ONE, RationalGF, T
+from .gfcore import ONE, IntPolynomial, RationalGF, T
 from .spaces import PairInclusion, SpaceProfile
 
 
@@ -26,6 +29,11 @@ def _series_starts_above_degree_one(series: RationalGF) -> bool:
     return series.num.constant == 0 and series.num[1] == 0
 
 
+def _tensor_series(series: RationalGF, c: IntPolynomial) -> RationalGF:
+    """P/(c - P) for P = n/d, built as the one fraction n/(c*d - n) and reduced once."""
+    return RationalGF(series.num, c * series.den - series.num)
+
+
 def bott_samelson_series(y: SpaceProfile) -> RationalGF:
     """Series of the loop space of a suspension: P/(1 - P).
 
@@ -33,7 +41,7 @@ def bott_samelson_series(y: SpaceProfile) -> RationalGF:
     exactly this Euler series, one tensor word per composition of the degree.
     """
     _require_path_connected(y)
-    return y.series / (ONE - y.series)
+    return _tensor_series(y.series, ONE.num)
 
 
 def bousfield_curtis_series(x: SpaceProfile) -> RationalGF:
@@ -53,17 +61,14 @@ def bousfield_curtis_series(x: SpaceProfile) -> RationalGF:
         raise HypothesisViolation(
             f"{x.name}: formula requires the reduced diagonal declared null"
         )
-    return x.series / (T - x.series)
+    return _tensor_series(x.series, T.num)
 
 
 def loop_series(pair: PairInclusion) -> RationalGF:
     """Loop-space series of (A ^ RP^inf) glued to (Y ^ RP^1) along A ^ RP^1.
 
     With A = pair.sub included in Y = pair.ambient, Y path-connected and A
-    diagonal-null, the series is
-
-        ((1-t) P(Y) + t P(A)) / (1 - t - (1-t) P(Y) - t P(A)),
-
+    diagonal-null, the series is N/(1 - t - N) with N = (1-t) P(Y) + t P(A),
     in lowest terms.  Specializations: A = pt recovers the suspension formula,
     A = Y gives P(A)/(1 - t - P(A)), Y contractible gives
     t P(A)/(1 - t - t P(A)).
@@ -74,11 +79,9 @@ def loop_series(pair: PairInclusion) -> RationalGF:
             f"{pair.sub.name}: formula requires the subspace's reduced diagonal "
             "declared null"
         )
-    p_y = pair.ambient.series
-    p_a = pair.sub.series
-    num = (ONE - T) * p_y + T * p_a
-    den = ONE - T - (ONE - T) * p_y - T * p_a
-    return num / den
+    one_minus_t = ONE - T
+    n = one_minus_t * pair.ambient.series + T * pair.sub.series
+    return _tensor_series(n, one_minus_t.num)
 
 
 def euler_series_e1(space_series: RationalGF) -> RationalGF:

@@ -4,7 +4,8 @@ Everything here is big-integer exact: polynomials carry arbitrary-precision
 signed coefficients, rational functions are numerator/denominator pairs of
 such polynomials reduced to lowest terms once, when they are built, and
 series expansion is an integer linear recurrence driven by the denominator.
-No floats anywhere.
+No floats anywhere.  The surface is what the library calls: an int is
+accepted only on the right of a polynomial operator and nowhere in RationalGF.
 """
 
 from __future__ import annotations
@@ -65,12 +66,6 @@ class IntPolynomial:
             raise IndexError("polynomial coefficients are indexed by degree >= 0")
         return self._coeffs[i] if i < len(self._coeffs) else 0
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = IntPolynomial((other,))
@@ -96,19 +91,11 @@ class IntPolynomial:
             out[i] += c
         return IntPolynomial(out)
 
-    __radd__ = __add__
-
     def __sub__(self, other: IntPolynomial | int) -> IntPolynomial:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other: IntPolynomial | int) -> IntPolynomial:
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other: IntPolynomial | int) -> IntPolynomial:
         other = _as_poly(other)
@@ -123,8 +110,6 @@ class IntPolynomial:
             for j, b in enumerate(other._coeffs):
                 out[i + j] += a * b
         return IntPolynomial(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> IntPolynomial:
         if exponent < 0:
@@ -251,49 +236,31 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 
 class TruncSeries:
-    """Power series truncated at an inclusive degree bound.
+    """The coefficients a_0..a_N of a power series, truncated at degree N.
 
-    Exactly ``bound + 1`` integer coefficients are stored; trailing zeros are
-    kept so that two truncations compare positionally.
+    Built from exactly N + 1 integers; trailing zeros are kept, so two
+    truncations compare positionally.
     """
 
-    __slots__ = ("_coeffs", "_bound")
+    __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[int], bound: int | None = None):
-        cs = [int(c) for c in coeffs]
-        if bound is None:
-            if not cs:
-                raise ValueError("empty coefficient list needs an explicit bound")
-            bound = len(cs) - 1
-        if bound < 0:
-            raise ValueError("bound must be nonnegative")
-        if len(cs) > bound + 1:
-            raise ValueError(f"{len(cs)} coefficients exceed bound {bound}")
-        cs.extend([0] * (bound + 1 - len(cs)))
-        self._coeffs: tuple[int, ...] = tuple(cs)
-        self._bound = bound
+    def __init__(self, coeffs: Iterable[int]):
+        self._coeffs: tuple[int, ...] = tuple(coeffs)
 
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
 
-    @property
-    def bound(self) -> int:
-        return self._bound
-
-    def __getitem__(self, i: int) -> int:
-        return self._coeffs[i]
-
     def __iter__(self) -> Iterator[int]:
         return iter(self._coeffs)
 
     def __len__(self) -> int:
-        return self._bound + 1
+        return len(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return self._bound == other._bound and self._coeffs == other._coeffs
+        return self._coeffs == other._coeffs
 
     def __repr__(self) -> str:
         return f"TruncSeries({list(self._coeffs)})"
@@ -307,20 +274,15 @@ class RationalGF:
     fixes the sign so the denominator is positive at t = 0.  A zero
     numerator gets denominator 1.  One rational function therefore has one
     representation, ``==`` compares numerator and denominator componentwise,
-    and values hash.  Values are immutable.
+    and values hash.  Values are immutable.  The arithmetic operators take
+    RationalGF operands only.
     """
 
     __slots__ = ("_num", "_den")
 
-    def __init__(
-        self,
-        num: IntPolynomial | int,
-        den: IntPolynomial | int = IntPolynomial((1,)),
-    ):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if num is NotImplemented or den is NotImplemented:
-            raise TypeError("numerator and denominator must be IntPolynomial or int")
+    def __init__(self, num: IntPolynomial, den: IntPolynomial = IntPolynomial((1,))):
+        if not (isinstance(num, IntPolynomial) and isinstance(den, IntPolynomial)):
+            raise TypeError("numerator and denominator must be IntPolynomial")
         if den.is_zero:
             raise ZeroDenominatorError("denominator is the zero polynomial")
         # Cancel before vetting den(0): a quotient such as t^2/(t - t^2)
@@ -365,58 +327,34 @@ class RationalGF:
         return self
 
     def __eq__(self, other: object) -> bool:
-        other = _as_ratgf(other)
-        if other is NotImplemented:
+        if not isinstance(other, RationalGF):
             return NotImplemented
         return self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
         return hash((self._num, self._den))
 
-    def __neg__(self) -> RationalGF:
-        return RationalGF(-self._num, self._den)
-
-    def __add__(self, other: RationalGF | IntPolynomial | int) -> RationalGF:
-        other = _as_ratgf(other)
-        if other is NotImplemented:
+    def __add__(self, other: RationalGF) -> RationalGF:
+        if not isinstance(other, RationalGF):
             return NotImplemented
         num = self._num * other._den + other._num * self._den
         return RationalGF(num, self._den * other._den)
 
-    __radd__ = __add__
-
-    def __sub__(self, other: RationalGF | IntPolynomial | int) -> RationalGF:
-        other = _as_ratgf(other)
-        if other is NotImplemented:
+    def __sub__(self, other: RationalGF) -> RationalGF:
+        if not isinstance(other, RationalGF):
             return NotImplemented
         num = self._num * other._den - other._num * self._den
         return RationalGF(num, self._den * other._den)
 
-    def __rsub__(self, other: RationalGF | IntPolynomial | int) -> RationalGF:
-        other = _as_ratgf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other: RationalGF | IntPolynomial | int) -> RationalGF:
-        other = _as_ratgf(other)
-        if other is NotImplemented:
+    def __mul__(self, other: RationalGF) -> RationalGF:
+        if not isinstance(other, RationalGF):
             return NotImplemented
         return RationalGF(self._num * other._num, self._den * other._den)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: RationalGF | IntPolynomial | int) -> RationalGF:
-        other = _as_ratgf(other)
-        if other is NotImplemented:
+    def __truediv__(self, other: RationalGF) -> RationalGF:
+        if not isinstance(other, RationalGF):
             return NotImplemented
         return RationalGF(self._num * other._den, self._den * other._num)
-
-    def __rtruediv__(self, other: RationalGF | IntPolynomial | int) -> RationalGF:
-        other = _as_ratgf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
 
     def expand(self, bound: int) -> TruncSeries:
         """Power-series coefficients a_0..a_bound, exactly.
@@ -449,14 +387,6 @@ class RationalGF:
 
     def __repr__(self) -> str:
         return f"RationalGF({self._num!r}, {self._den!r})"
-
-
-def _as_ratgf(value: object) -> RationalGF:
-    if isinstance(value, RationalGF):
-        return value
-    if isinstance(value, (IntPolynomial, int)):
-        return RationalGF(value)
-    return NotImplemented
 
 
 #: The zero and one functions and the bare indeterminate, for building formulas.

@@ -114,8 +114,9 @@ def _tokenize(text: str) -> list[_Token]:
                     f"unexpected token {run!r} at offset {start}", start, ("^",)
                 )
             tokens.append(_Token("caret", "^", start))
-        elif c.isdigit():
-            while i < n and text[i].isdigit():
+        elif "0" <= c <= "9":
+            # ASCII only: str.isdigit also accepts superscripts such as '²'.
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             tokens.append(_Token("int", text[start:i], start))
         elif c.isalpha() or c == "_":

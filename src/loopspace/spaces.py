@@ -197,5 +197,8 @@ def parse_catalog(data: object) -> dict[str, SpaceProfile]:
 def load_catalog(path: str | os.PathLike) -> dict[str, SpaceProfile]:
     """Read a catalog JSON file; see parse_catalog for the schema."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: catalog JSON is nested too deeply") from None
     return parse_catalog(data)

@@ -118,7 +118,7 @@ def test_verify_mismatch_reports_first_degree(capsys, monkeypatch):
     # the two routes agree for every valid input, so the mismatch path is
     # exercised by perturbing the oracle
     def broken_oracle(pair, bound):
-        return TruncSeries([0] * 3 + [9], bound=bound)
+        return TruncSeries([0, 0, 0, 9])
 
     monkeypatch.setattr(cli.combinatorics, "loop_series_oracle", broken_oracle)
     code, out, _ = run_cli(
@@ -241,6 +241,17 @@ def test_malformed_catalog_json_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_deeply_nested_catalog_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(
+        ["compute", "--A", "S^1", "--Y", "S^2", "--catalog", str(path)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
 def test_bool_catalog_coefficient_exits_2(capsys, tmp_path):
     path = tmp_path / "catalog.json"
     path.write_text(
@@ -282,6 +293,27 @@ def test_negative_coefficient_beyond_degree_is_not_checked(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
+    [["compute", "--format", fmt] for fmt in ("plain", "json", "csv")] + [["verify"]],
+)
+def test_coefficient_too_long_to_print_exits_2(capsys, tmp_path, argv):
+    # M has Betti number 10^600 in degree 1, so the loop series is
+    # 10^600 t / (1 - 10^600 t) and t^q has 600 q + 1 digits
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter prints ints of any length")
+    first = (limit - 1) // 600 + 1
+    catalog = write_catalog(tmp_path, [0, 10**600])
+    argv = argv + ["--A", "pt", "--Y", "M", "--degree", str(first + 2), "--catalog", catalog]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"coefficient of t^{first} " in err and "lower --degree" in err
+    assert "set_int_max_str_digits" not in err
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize(
+    "argv",
     [
         ["compute", "--A", "pt", "--Y", "(" * 5000 + "S^1" + ")" * 5000],
         ["compute", "--A", "pt", "--Y", " v ".join(["S^1"] * 3000)],
@@ -290,6 +322,7 @@ def test_negative_coefficient_beyond_degree_is_not_checked(capsys, tmp_path):
         ["compute", "--A", "pt", "--Y", "S^1", "--degree", str(cli.MAX_DEGREE + 1)],
         ["verify", "--A", "pt", "--Y", "S^1", "--degree", str(cli.MAX_DEGREE + 1)],
         ["identity", "--kmax", "1", "--degree", str(cli.MAX_DEGREE + 1)],
+        ["identity", "--kmax", str(cli.MAX_KMAX + 1)],
     ],
 )
 def test_inputs_beyond_the_limits_exit_2(capsys, argv):

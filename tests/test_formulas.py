@@ -4,9 +4,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loopspace.errors import HypothesisViolation, PathConnectednessViolation
+from loopspace.errors import (
+    HypothesisViolation,
+    PathConnectednessViolation,
+    ZeroDenominatorError,
+)
 from loopspace.formulas import (
+    _tensor_series,
     bott_samelson_series,
     bousfield_curtis_series,
     collapse_series,
@@ -14,7 +21,7 @@ from loopspace.formulas import (
     euler_series_einf,
     loop_series,
 )
-from loopspace.gfcore import ONE, RationalGF, T, ZERO
+from loopspace.gfcore import ONE, IntPolynomial, RationalGF, T, ZERO
 from loopspace.spaces import (
     PairInclusion,
     SpaceProfile,
@@ -34,6 +41,29 @@ def random_connected_profile(rng, name="Y", diagonal_null=False):
     if not any(coeffs):
         coeffs[1] = 1
     return SpaceProfile(name, RationalGF.from_coeffs(coeffs), diagonal_null=diagonal_null)
+
+
+# ---------------------------------------------------------- tensor series
+
+COEFFS = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num=COEFFS,
+    den=COEFFS.filter(lambda cs: cs[0] != 0),
+    c=st.sampled_from([IntPolynomial((1,)), IntPolynomial((0, 1)), IntPolynomial((1, -1))]),
+)
+def test_tensor_series_matches_division(num, den, c):
+    p = RationalGF.from_coeffs(num, den)  # reduced by construction
+
+    def outcome(build):
+        try:
+            return build()
+        except ZeroDenominatorError as exc:  # NonUnitConstantError included
+            return type(exc)
+
+    assert outcome(lambda: _tensor_series(p, c)) == outcome(lambda: p / (RationalGF(c) - p))
 
 
 # ----------------------------------------------------------- bott_samelson

@@ -80,6 +80,13 @@ def test_parse_error_positions():
     assert info.value.offset == 4
 
 
+def test_parse_accepts_ascii_digits_only():
+    # str.isdigit accepts superscripts, which int() then refuses
+    with pytest.raises(ParseError) as info:
+        parse_space("S^\u00b2")
+    assert info.value.offset == 2
+
+
 def test_parse_error_carries_expected_tokens():
     with pytest.raises(ParseError) as info:
         parse_space("v S^1")
