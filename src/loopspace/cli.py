@@ -11,7 +11,8 @@ Exit codes are part of the contract: 0 success, 1 a verification or
 identity mismatch, 2 usage or hypothesis errors.  Nothing else.
 All numeric output is exact integers; diagnostics go to stderr.
 Inputs beyond the documented limits (``--degree`` above ``MAX_DEGREE``,
-``--kmax`` above ``MAX_KMAX``, ``spaceexpr.MAX_DEPTH``,
+``verify --degree`` above ``MAX_VERIFY_DEGREE``, ``--kmax`` above
+``MAX_KMAX``, ``spaceexpr.MAX_DEPTH``,
 ``spaces.MAX_DIMENSION``) are usage errors, and so is a coefficient too long
 for Python's int-to-str limit, which is read and never changed.
 """
@@ -32,9 +33,14 @@ from .spaceexpr import evaluate, parse_space
 #: Largest --degree accepted; expansion time and memory grow with it.
 MAX_DEGREE = 10_000
 
-#: Largest --kmax accepted.  identity checks (kmax + 1)(kmax + 2)/2 pairs,
-#: each expanded to --degree; at kmax 12 and degree 10000 that takes seconds.
-MAX_KMAX = 12
+#: Largest verify --degree accepted.  The oracle's power table has about
+#: N^3/2 entries and its sum costs O(N^4); at this degree the densest pairs
+#: take about 3 s and 40 MB.
+MAX_VERIFY_DEGREE = 120
+
+#: Largest --kmax accepted.  identity checks each k once, expanded to
+#: --degree; at kmax 48 and degree 10000 that takes about 3 s.
+MAX_KMAX = 48
 
 
 def _fmt_list(values: Sequence[int]) -> str:
@@ -110,7 +116,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_limit("--degree", args.degree, MAX_DEGREE)
+    _check_limit("--degree", args.degree, MAX_VERIFY_DEGREE)
     pair = _build_pair(args, args.degree)
     closed = list(formulas.loop_series(pair).expand(args.degree).coeffs)
     oracle = list(combinatorics.loop_series_oracle(pair, args.degree).coeffs)
@@ -146,9 +152,14 @@ def cmd_identity(args: argparse.Namespace) -> int:
     _check_limit("--kmax", args.kmax, MAX_KMAX)
     _check_limit("--degree", args.degree, MAX_DEGREE)
     pairs = [(k, m) for k in range(args.kmax + 1) for m in range(k + 1)]
-    failures = [
-        (k, m) for k, m in pairs if not combinatorics.binomial_gf_check(k, m, args.degree)
-    ]
+    check = combinatorics.binomial_gf_check
+    failures = []
+    for k in range(args.kmax + 1):
+        # binom(n, k) = 0 for 0 <= n < k, so every (k, m) with m <= k has the
+        # direct series of (k, 0): when (k, 0) agrees, the whole row agrees.
+        # Only a failing row is checked pair by pair, to name its pairs.
+        if not check(k, 0, args.degree):
+            failures += [(k, m) for m in range(k + 1) if not check(k, m, args.degree)]
     for k, m in failures:
         print(f"mismatch: k={k} m={m}")
     if failures:

@@ -4,8 +4,10 @@ Every formula here is conditional on hypotheses about the input spaces;
 each gate raises with the name of the failed condition instead of emitting
 a plausible but wrong series.
 
-The three loop-space series are tensor-algebra series P/(c - P), each
-built by ``_tensor_series`` as one fraction that is reduced once.
+Each series is built as one fraction of polynomials and reduced once, by
+the ``RationalGF`` constructor; partial sums such as N below are never
+reduced on their own.  The three loop-space series are tensor-algebra
+series P/(c - P), built by ``_tensor_series``.
 """
 
 from __future__ import annotations
@@ -29,9 +31,13 @@ def _series_starts_above_degree_one(series: RationalGF) -> bool:
     return series.num.constant == 0 and series.num[1] == 0
 
 
-def _tensor_series(series: RationalGF, c: IntPolynomial) -> RationalGF:
-    """P/(c - P) for P = n/d, built as the one fraction n/(c*d - n) and reduced once."""
-    return RationalGF(series.num, c * series.den - series.num)
+def _tensor_series(n: IntPolynomial, d: IntPolynomial, c: IntPolynomial) -> RationalGF:
+    """P/(c - P) for P = n/d, built as the one fraction n/(c*d - n) and reduced once.
+
+    n/d need not be in lowest terms: a factor common to both cancels in the
+    one reduction, which gives the same canonical value.
+    """
+    return RationalGF(n, c * d - n)
 
 
 def bott_samelson_series(y: SpaceProfile) -> RationalGF:
@@ -41,7 +47,7 @@ def bott_samelson_series(y: SpaceProfile) -> RationalGF:
     exactly this Euler series, one tensor word per composition of the degree.
     """
     _require_path_connected(y)
-    return _tensor_series(y.series, ONE.num)
+    return _tensor_series(y.series.num, y.series.den, ONE.num)
 
 
 def bousfield_curtis_series(x: SpaceProfile) -> RationalGF:
@@ -61,7 +67,7 @@ def bousfield_curtis_series(x: SpaceProfile) -> RationalGF:
         raise HypothesisViolation(
             f"{x.name}: formula requires the reduced diagonal declared null"
         )
-    return _tensor_series(x.series, T.num)
+    return _tensor_series(x.series.num, x.series.den, T.num)
 
 
 def loop_series(pair: PairInclusion) -> RationalGF:
@@ -79,9 +85,10 @@ def loop_series(pair: PairInclusion) -> RationalGF:
             f"{pair.sub.name}: formula requires the subspace's reduced diagonal "
             "declared null"
         )
-    one_minus_t = ONE - T
-    n = one_minus_t * pair.ambient.series + T * pair.sub.series
-    return _tensor_series(n, one_minus_t.num)
+    y, a = pair.ambient.series, pair.sub.series
+    one_minus_t = IntPolynomial((1, -1))
+    n = one_minus_t * y.num * a.den + T.num * a.num * y.den
+    return _tensor_series(n, y.den * a.den, one_minus_t)
 
 
 def euler_series_e1(space_series: RationalGF) -> RationalGF:
@@ -98,7 +105,9 @@ def euler_series_e1(space_series: RationalGF) -> RationalGF:
             "Euler series of the first term needs a simply-connected space "
             "(series coefficients 0 in degrees 0 and 1)"
         )
-    return T / (T - space_series)
+    # t/(t - n/d) as the one fraction t*d/(t*d - n).
+    td = T.num * space_series.den
+    return RationalGF(td, td - space_series.num)
 
 
 def euler_series_einf(loop_space_series: RationalGF) -> RationalGF:

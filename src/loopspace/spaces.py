@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from .errors import HypothesisViolation
@@ -24,6 +25,19 @@ from .gfcore import ZERO, IntPolynomial, RationalGF, T
 #: Largest finite sphere or projective dimension accepted.  It is checked
 #: before the n + 1 coefficients of the series are allocated.
 MAX_DIMENSION = 1000
+
+
+def _check_diagonal_null(name: str, diagonal_null: bool, constant: int) -> None:
+    """Refuse a diagonal-null space whose series numerator is nonzero at t = 0.
+
+    With den(0) != 0 the series' constant coefficient vanishes exactly when
+    the numerator's does, reduced to lowest terms or not.
+    """
+    if diagonal_null and constant != 0:
+        raise HypothesisViolation(
+            f"{name}: diagonal-null spaces are path-connected, "
+            "but the series has a nonzero constant coefficient"
+        )
 
 
 @dataclass(frozen=True)
@@ -41,11 +55,7 @@ class SpaceProfile:
     notes: str = ""
 
     def __post_init__(self):
-        if self.diagonal_null and self.series.num.constant != 0:
-            raise HypothesisViolation(
-                f"{self.name}: diagonal-null spaces are path-connected, "
-                "but the series has a nonzero constant coefficient"
-            )
+        _check_diagonal_null(self.name, self.diagonal_null, self.series.num.constant)
 
     @property
     def is_path_connected(self) -> bool:
@@ -145,20 +155,54 @@ def union_series(pair: PairInclusion) -> RationalGF:
             f"{pair.sub.name} -> {pair.ambient.name}: the union series needs the "
             "inclusion declared a monomorphism in homology (mono_in_homology)"
         )
-    t_sq_over_1mt = RationalGF(IntPolynomial((0, 0, 1)), IntPolynomial((1, -1)))
-    return T * pair.ambient.series + t_sq_over_1mt * pair.sub.series
+    # One numerator over (1-t)*den Y*den A, reduced once.
+    y, a = pair.ambient.series, pair.sub.series
+    num = IntPolynomial((0, 1, -1)) * y.num * a.den + IntPolynomial((0, 0, 1)) * a.num * y.den
+    return RationalGF(num, IntPolynomial((1, -1)) * y.den * a.den)
 
 
-def parse_catalog(data: object) -> dict[str, SpaceProfile]:
+class _Catalog(Mapping[str, SpaceProfile]):
+    """Validated catalog entries; an entry's profile is built on first lookup.
+
+    Building a profile reduces its series, so a command pays only for the
+    names its expressions use.
+    """
+
+    def __init__(self, entries: dict[str, tuple[tuple[int, ...], tuple[int, ...], bool, str]]):
+        self._entries = entries
+        self._built: dict[str, SpaceProfile] = {}
+
+    def __getitem__(self, name: str) -> SpaceProfile:
+        profile = self._built.get(name)
+        if profile is None:
+            num, den, diag, notes = self._entries[name]
+            profile = SpaceProfile(
+                name, RationalGF.from_coeffs(num, den), diagonal_null=diag, notes=notes
+            )
+            self._built[name] = profile
+        return profile
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._entries
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def parse_catalog(data: object) -> Mapping[str, SpaceProfile]:
     """Build profiles from decoded catalog JSON (a list of objects).
 
     Each entry needs "name", integer coefficient arrays "numerator" and
     "denominator" (ascending degree, denominator nonzero at index 0), and a
-    boolean "diagonal_null"; "notes" is optional.
+    boolean "diagonal_null"; "notes" is optional.  Every entry is validated
+    here; its series is built and reduced only when the entry is looked up.
     """
     if not isinstance(data, list):
         raise ValueError("catalog must be a JSON array of space objects")
-    out: dict[str, SpaceProfile] = {}
+    out: dict[str, tuple[tuple[int, ...], tuple[int, ...], bool, str]] = {}
     for i, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise ValueError(f"catalog entry {i} is not an object")
@@ -185,16 +229,12 @@ def parse_catalog(data: object) -> dict[str, SpaceProfile]:
             raise ValueError(f"catalog entry {name!r}: diagonal_null must be a boolean")
         if name in out:
             raise ValueError(f"catalog defines {name!r} twice")
-        out[name] = SpaceProfile(
-            name,
-            RationalGF.from_coeffs(num, den),
-            diagonal_null=diag,
-            notes=str(entry.get("notes", "")),
-        )
-    return out
+        _check_diagonal_null(name, diag, num[0] if num else 0)
+        out[name] = (tuple(num), tuple(den), diag, str(entry.get("notes", "")))
+    return _Catalog(out)
 
 
-def load_catalog(path: str | os.PathLike) -> dict[str, SpaceProfile]:
+def load_catalog(path: str | os.PathLike) -> Mapping[str, SpaceProfile]:
     """Read a catalog JSON file; see parse_catalog for the schema."""
     with open(path, encoding="utf-8") as fh:
         try:

@@ -4,6 +4,8 @@ Each invocation goes through ``main`` in-process; exit codes are the
 function's return value, never a raised SystemExit.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,10 +13,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopspace
 from loopspace import cli
-from loopspace.gfcore import TruncSeries
+from loopspace.gfcore import RationalGF, TruncSeries
 
 
 def run_cli(args, capsys):
@@ -291,6 +295,58 @@ def test_negative_coefficient_beyond_degree_is_not_checked(capsys, tmp_path):
     assert run_cli(argv, capsys)[0] == 2
 
 
+def write_entries(tmp_path, extra=()):
+    """A catalog of 24 non-monic series E0..E23 (even ones diagonal-null), plus extra."""
+    entries = [
+        {
+            "name": f"E{i}",
+            "numerator": [0, 1 + i, i % 3],
+            "denominator": [1, -(1 + i % 3)],
+            "diagonal_null": i % 2 == 0,
+        }
+        for i in range(24)
+    ]
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(entries + list(extra)))
+    return str(path)
+
+
+def test_compute_builds_only_the_catalog_entries_it_names(capsys, tmp_path, monkeypatch):
+    catalog = write_entries(tmp_path)
+    built = []
+    from_coeffs = RationalGF.from_coeffs.__func__
+
+    def recording(cls, num, den=(1,)):
+        built.append(f"E{num[1] - 1}")
+        return from_coeffs(cls, num, den)
+
+    monkeypatch.setattr(RationalGF, "from_coeffs", classmethod(recording))
+    argv = ["compute", "--A", "E4", "--Y", "E7 v S^2 v E7", "--catalog", catalog]
+    code, _, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert sorted(built) == ["E4", "E7"]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (
+            {"numerator": [1, 1], "denominator": [1], "diagonal_null": True},
+            "bad: diagonal-null spaces are path-connected, "
+            "but the series has a nonzero constant coefficient",
+        ),
+        (
+            {"numerator": [0, 1], "denominator": [0, 1], "diagonal_null": False},
+            "catalog entry 'bad': denominator needs a nonzero entry at index 0",
+        ),
+    ],
+)
+def test_invalid_catalog_entry_is_refused_though_never_named(capsys, tmp_path, bad, message):
+    catalog = write_entries(tmp_path, [dict(bad, name="bad")])
+    argv = ["compute", "--A", "E0", "--Y", "S^2", "--catalog", catalog]
+    assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [["compute", "--format", fmt] for fmt in ("plain", "json", "csv")] + [["verify"]],
@@ -321,6 +377,8 @@ def test_coefficient_too_long_to_print_exits_2(capsys, tmp_path, argv):
         ["compute", "--A", "pt", "--Y", "RP^99999999999"],
         ["compute", "--A", "pt", "--Y", "S^1", "--degree", str(cli.MAX_DEGREE + 1)],
         ["verify", "--A", "pt", "--Y", "S^1", "--degree", str(cli.MAX_DEGREE + 1)],
+        ["verify", "--A", "susp(RP^inf)", "--Y", "RP^inf v S^2",
+         "--degree", str(cli.MAX_VERIFY_DEGREE + 1)],
         ["identity", "--kmax", "1", "--degree", str(cli.MAX_DEGREE + 1)],
         ["identity", "--kmax", str(cli.MAX_KMAX + 1)],
     ],
@@ -391,3 +449,75 @@ def test_runs_as_a_module(module):
         "den: [1,-1,-2,1]",
         "coeffs: [0,0,2,1,5]",
     ]
+
+
+# ---------------------------------------------------------------- argv fuzz
+
+# Mostly well-formed pairs, so that the commands run through to their
+# output; odd atoms and junk text make the rest.
+ATOMS = st.sampled_from(
+    ["S^1", "S^2", "S^3", "RP^1", "RP^inf", "pt", "M", "N"] * 4
+    + ["RP^2", "neg", "ghost", "S^0", "RP^99999999999", "S^\u00b2", "((", ""]
+)
+WELL_FORMED = st.recursive(
+    ATOMS,
+    lambda inner: st.one_of(
+        st.builds("{} v {}".format, inner, inner),
+        st.builds("{} ^ {}".format, inner, inner),
+        st.builds("susp({})".format, inner),
+        st.builds("cone({})".format, inner),
+        st.builds("({})".format, inner),
+    ),
+    max_leaves=5,
+)
+JUNK = st.text(alphabet="SRPMinfptv^()0123456789 ,-", max_size=12)
+EXPRESSIONS = st.one_of(WELL_FORMED, WELL_FORMED, WELL_FORMED, JUNK)
+NUMBERS = st.sampled_from([str(n) for n in range(-1, 31)] + ["", "x", "1.5", "-0"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_catalog(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "catalog.json"
+    entries = [
+        {"name": "M", "numerator": [0, 1, 2], "denominator": [1, -2], "diagonal_null": True},
+        {"name": "N", "numerator": [0, 3], "denominator": [1, -1], "diagonal_null": False},
+        {"name": "neg", "numerator": [0, 0, -1], "denominator": [1], "diagonal_null": True},
+    ]
+    path.write_text(json.dumps(entries))
+    return str(path)
+
+
+@st.composite
+def argvs(draw, catalog):
+    command = draw(st.sampled_from(["compute", "verify", "collapse", "identity"]))
+    if command == "identity":
+        flags = {"--kmax": st.integers(-2, 8).map(str), "--degree": NUMBERS}
+    else:
+        flags = {"--A": EXPRESSIONS, "--Y": EXPRESSIONS, "--catalog": st.just(catalog)}
+        if command != "collapse":
+            flags["--degree"] = NUMBERS
+        if command == "compute":
+            flags["--format"] = st.sampled_from(["plain", "json", "csv"] * 3 + ["xml"])
+    argv = [command]
+    for flag, values in flags.items():
+        # Flags are sometimes left out, so required ones go missing too.
+        if draw(st.sampled_from([True] * 9 + [False])):
+            argv += [flag, draw(values)]
+    if command == "collapse" and draw(st.booleans()):
+        argv.append("--mono")
+    if draw(st.sampled_from([False] * 9 + [True])):
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "--help"])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_argv_fuzz_keeps_the_exit_contract(fuzz_catalog, data):
+    argv = data.draw(argvs(fuzz_catalog))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopspace import gfcore
 from loopspace.errors import (
     HypothesisViolation,
     PathConnectednessViolation,
@@ -48,6 +49,14 @@ def random_connected_profile(rng, name="Y", diagonal_null=False):
 COEFFS = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=5)
 
 
+def outcome(build):
+    """The value build() returns, or the class of its zero-denominator error."""
+    try:
+        return build()
+    except ZeroDenominatorError as exc:  # NonUnitConstantError included
+        return type(exc)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     num=COEFFS,
@@ -55,15 +64,69 @@ COEFFS = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=5
     c=st.sampled_from([IntPolynomial((1,)), IntPolynomial((0, 1)), IntPolynomial((1, -1))]),
 )
 def test_tensor_series_matches_division(num, den, c):
-    p = RationalGF.from_coeffs(num, den)  # reduced by construction
+    # _tensor_series takes num/den as given, in lowest terms or not; the
+    # reference divides the reduced value.
+    p = RationalGF.from_coeffs(num, den)
+    raw = (IntPolynomial(num), IntPolynomial(den))
+    assert outcome(lambda: _tensor_series(*raw, c)) == outcome(lambda: p / (RationalGF(c) - p))
 
-    def outcome(build):
-        try:
-            return build()
-        except ZeroDenominatorError as exc:  # NonUnitConstantError included
-            return type(exc)
 
-    assert outcome(lambda: _tensor_series(p, c)) == outcome(lambda: p / (RationalGF(c) - p))
+def gcd_calls(monkeypatch, build):
+    """How many times build() calls gfcore.poly_gcd, where RationalGF reduces."""
+    calls = []
+    real = gfcore.poly_gcd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gfcore, "poly_gcd", counting)
+        build()
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "sub, ambient",
+    [
+        (sphere(1), sphere(2)),
+        (wedge(sphere(1), suspend(projective(math.inf))), wedge(projective(math.inf), sphere(3))),
+        (
+            SpaceProfile("A", RationalGF.from_coeffs([0, 2, 1], [3, -1]), diagonal_null=True),
+            SpaceProfile("Y", RationalGF.from_coeffs([0, 1, 0, 2], [2, -3, 1])),
+        ),
+    ],
+)
+def test_each_closed_form_reduces_once(monkeypatch, sub, ambient):
+    pair = PairInclusion(sub=sub, ambient=ambient, mono_in_homology=True)
+    union = union_series(pair)
+    assert gcd_calls(monkeypatch, lambda: loop_series(pair)) == 1
+    assert gcd_calls(monkeypatch, lambda: union_series(pair)) == 1
+    assert gcd_calls(monkeypatch, lambda: euler_series_e1(union)) == 1
+
+
+# Series with den(0) != 0 and no terms below t^low, as reduced values.
+def series_from(low):
+    return st.builds(
+        lambda num, den: RationalGF.from_coeffs([0] * low + num, den),
+        COEFFS,
+        COEFFS.filter(lambda cs: cs[0] != 0),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=series_from(1), a=series_from(1), p=series_from(2))
+def test_one_fraction_forms_match_the_composed_operators(y, a, p):
+    pair = PairInclusion(
+        sub=SpaceProfile("A", a, diagonal_null=True),
+        ambient=SpaceProfile("Y", y),
+        mono_in_homology=True,
+    )
+    n = (ONE - T) * y + T * a
+    assert outcome(lambda: loop_series(pair)) == outcome(lambda: n / (ONE - T - n))
+    t_sq_over_1mt = RationalGF(IntPolynomial((0, 0, 1)), IntPolynomial((1, -1)))
+    assert union_series(pair) == T * y + t_sq_over_1mt * a
+    assert outcome(lambda: euler_series_e1(p)) == outcome(lambda: T / (T - p))
 
 
 # ----------------------------------------------------------- bott_samelson

@@ -3,8 +3,11 @@
 import json
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopspace.errors import HypothesisViolation
 from loopspace.gfcore import IntPolynomial, RationalGF, T, TruncSeries
@@ -251,6 +254,23 @@ def test_parse_catalog_enforces_profile_invariants():
     # diagonal_null with nonzero constant coefficient is contradictory
     with pytest.raises(HypothesisViolation):
         parse_catalog([_entry(num=(1, 1), diag=True)])
+
+
+COEFFS = st.lists(st.integers(min_value=-3, max_value=3), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(num=COEFFS, den=COEFFS.filter(lambda cs: cs and cs[0] != 0), diag=st.booleans())
+def test_parse_catalog_checks_raw_entries_as_the_profile_would(num, den, diag):
+    # parse_catalog vets diagonal_null on the raw numerator; the profile,
+    # built on lookup, must agree with building it from the reduced series.
+    try:
+        expected = SpaceProfile("M", RationalGF.from_coeffs(num, den), diagonal_null=diag)
+    except HypothesisViolation as exc:
+        with pytest.raises(HypothesisViolation, match=re.escape(str(exc))):
+            parse_catalog([_entry(num=num, den=den, diag=diag)])
+    else:
+        assert parse_catalog([_entry(num=num, den=den, diag=diag)])["M"] == expected
 
 
 def test_load_catalog_roundtrip(tmp_path):
