@@ -4,7 +4,8 @@ The library works with integer-coefficient rational generating functions
 throughout: no floats, no truncation error.  ``formulas`` holds the
 closed-form results, ``combinatorics`` the degree-by-degree counting
 oracle used to cross-check them, ``spaces`` the space descriptions, and
-``spaceexpr`` a small expression language used by the CLI.
+``spaceexpr`` the CLI's parser, which reads expression text straight into
+space profiles.
 """
 
 from .combinatorics import (
@@ -48,7 +49,7 @@ from .spaces import (
     union_series,
     wedge,
 )
-from .spaceexpr import SpaceExpr, evaluate, format_space, parse_space
+from .spaceexpr import parse_space
 
 __all__ = [
     "HypothesisViolation",
@@ -61,7 +62,6 @@ __all__ = [
     "ParseError",
     "PathConnectednessViolation",
     "RationalGF",
-    "SpaceExpr",
     "SpaceProfile",
     "T",
     "TruncSeries",
@@ -76,9 +76,7 @@ __all__ = [
     "cone",
     "euler_series_e1",
     "euler_series_einf",
-    "evaluate",
     "fat_diagonal_betti",
-    "format_space",
     "load_catalog",
     "loop_series",
     "loop_series_oracle",

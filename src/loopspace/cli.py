@@ -75,8 +75,8 @@ def _build_pair(
     never negative, so without a catalog nothing is expanded here.
     """
     catalog = None if args.catalog is None else spaces.load_catalog(args.catalog)
-    sub = evaluate(parse_space(args.A, catalog), catalog)
-    ambient = evaluate(parse_space(args.Y, catalog), catalog)
+    sub = evaluate(parse_space(args.A, catalog))
+    ambient = evaluate(parse_space(args.Y, catalog))
     if catalog is not None and degree is not None:
         for space in (sub, ambient):
             for q, b in enumerate(space.betti(degree)):

@@ -1,4 +1,4 @@
-"""Parser and printer for the small space-expression language.
+"""Parser for the small space-expression language.
 
 Grammar (whitespace insignificant, both operators left-associative, smash
 binding tighter than wedge):
@@ -8,15 +8,16 @@ binding tighter than wedge):
     factor  := atom | 'susp' '(' expr ')' | 'cone' '(' expr ')' | '(' expr ')'
     atom    := 'S' '^' int | 'RP' '^' (int | 'inf') | 'pt' | identifier
 
-Identifiers resolve against a loaded catalog.  ``S``, ``RP``, ``pt``,
+The parser builds no syntax tree: each rule returns the ``SpaceProfile``
+of the text it consumed, built through ``spaces``.  ``S``, ``RP``, ``pt``,
 ``susp``, ``cone``, ``v`` and ``inf`` are only special in the positions the
-grammar puts them; elsewhere they lex as ordinary identifiers.
+grammar puts them; elsewhere they lex as identifiers no catalog may define.
 
 An expression's depth counts, along its deepest path, every parenthesis,
 ``susp(`` and ``cone(`` and every wedge or smash operator, so a chain of n
 terms has depth n - 1.  Parsing refuses a depth above ``MAX_DEPTH`` with a
-ParseError, which keeps evaluation and printing far from Python's
-recursion limit.
+ParseError, on the way down as well, which keeps the parser's own
+recursion far from Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -30,54 +31,6 @@ from .errors import ParseError, UnknownName
 from .spaces import SpaceProfile
 
 MAX_DEPTH = 100
-
-
-class SpaceExpr:
-    """Base class for space-expression syntax trees."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Sphere(SpaceExpr):
-    dim: int
-
-
-@dataclass(frozen=True)
-class Projective(SpaceExpr):
-    dim: int | None  # None encodes the infinite projective space
-
-
-@dataclass(frozen=True)
-class Point(SpaceExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class Named(SpaceExpr):
-    name: str
-
-
-@dataclass(frozen=True)
-class Wedge(SpaceExpr):
-    left: SpaceExpr
-    right: SpaceExpr
-
-
-@dataclass(frozen=True)
-class Smash(SpaceExpr):
-    left: SpaceExpr
-    right: SpaceExpr
-
-
-@dataclass(frozen=True)
-class Susp(SpaceExpr):
-    inner: SpaceExpr
-
-
-@dataclass(frozen=True)
-class Cone(SpaceExpr):
-    inner: SpaceExpr
 
 
 @dataclass(frozen=True)
@@ -170,131 +123,93 @@ class _Parser:
             )
         return depth + 1
 
-    # Each parse_* method returns (tree, depth of the text it consumed).
+    # Each parse_* method returns (profile, depth of the text it consumed).
 
-    def parse_expr(self, nesting: int) -> tuple[SpaceExpr, int]:
-        node, depth = self.parse_term(nesting)
+    def parse_expr(self, nesting: int) -> tuple[SpaceProfile, int]:
+        space, depth = self.parse_term(nesting)
         while self.peek().kind == "ident" and self.peek().text == "v":
             tok = self.advance()
             right, right_depth = self.parse_term(nesting)
-            node, depth = Wedge(node, right), self.deeper(max(depth, right_depth), tok)
-        return node, depth
+            space, depth = spaces.wedge(space, right), self.deeper(max(depth, right_depth), tok)
+        return space, depth
 
-    def parse_term(self, nesting: int) -> tuple[SpaceExpr, int]:
-        node, depth = self.parse_factor(nesting)
+    def parse_term(self, nesting: int) -> tuple[SpaceProfile, int]:
+        space, depth = self.parse_factor(nesting)
         while self.peek().kind == "caret":
             tok = self.advance()
             right, right_depth = self.parse_factor(nesting)
-            node, depth = Smash(node, right), self.deeper(max(depth, right_depth), tok)
-        return node, depth
+            space, depth = spaces.smash(space, right), self.deeper(max(depth, right_depth), tok)
+        return space, depth
 
-    def parse_factor(self, nesting: int) -> tuple[SpaceExpr, int]:
+    def parse_factor(self, nesting: int) -> tuple[SpaceProfile, int]:
         tok = self.peek()
         if tok.kind == "lparen":
             self.advance()
             return self.parse_nested(nesting, tok)
         if tok.kind == "ident":
             if tok.text in ("susp", "cone") and self.tokens[self.pos + 1].kind == "lparen":
-                self.advance()
-                self.advance()
+                self.pos += 2  # the word and its '('
                 inner, depth = self.parse_nested(nesting, tok)
-                return (Susp(inner) if tok.text == "susp" else Cone(inner)), depth
+                return (spaces.suspend if tok.text == "susp" else spaces.cone)(inner), depth
             return self.parse_atom(), 0
         raise self.fail(tok, _FACTOR_EXPECTED)
 
-    def parse_nested(self, nesting: int, opener: _Token) -> tuple[SpaceExpr, int]:
+    def parse_nested(self, nesting: int, opener: _Token) -> tuple[SpaceProfile, int]:
         """The expression after an opening parenthesis, through its ')'."""
         # Refused on the way down too, before the recursion can run deep.
-        node, depth = self.parse_expr(self.deeper(nesting, opener))
+        space, depth = self.parse_expr(self.deeper(nesting, opener))
         self.expect("rparen", (")",))
-        return node, self.deeper(depth, opener)
+        return space, self.deeper(depth, opener)
 
-    def parse_atom(self) -> SpaceExpr:
+    def parse_atom(self) -> SpaceProfile:
         tok = self.advance()
         if tok.text == "pt":
-            return Point()
+            return spaces.point()
         if tok.text == "S" and self.peek().kind == "caret":
             self.advance()
             dim_tok = self.expect("int", ("sphere dimension",))
-            return Sphere(int(dim_tok.text))
+            return spaces.sphere(int(dim_tok.text))
         if tok.text == "RP" and self.peek().kind == "caret":
             self.advance()
             nxt = self.peek()
             if nxt.kind == "int":
                 self.advance()
-                return Projective(int(nxt.text))
+                return spaces.projective(int(nxt.text))
             if nxt.kind == "ident" and nxt.text == "inf":
                 self.advance()
-                return Projective(None)
+                return spaces.projective(math.inf)
             raise self.fail(nxt, ("projective dimension", "inf"))
-        name = tok.text
-        if self.catalog is not None and name not in self.catalog:
-            raise UnknownName(name)
-        return Named(name)
+        if self.catalog is None or tok.text not in self.catalog:
+            raise UnknownName(tok.text)
+        return self.catalog[tok.text]
 
 
-def parse_space(text: str, catalog: Mapping[str, SpaceProfile] | None = None) -> SpaceExpr:
-    """Parse a space expression; with a catalog, names are resolved eagerly.
+def parse_space(text: str, catalog: Mapping[str, SpaceProfile] | None = None) -> SpaceProfile:
+    """The profile a space expression names, built as the text is parsed.
 
     Raises ParseError (with offset and expected-token set) on malformed
-    input or a depth above MAX_DEPTH, and UnknownName when a catalog is
-    given and an identifier is missing from it.
+    input or a depth above MAX_DEPTH, UnknownName for an identifier missing
+    from the catalog (every identifier, without one), and ValueError for a
+    dimension ``spaces`` refuses; the first fault in the text is reported.
     """
     parser = _Parser(_tokenize(text), catalog)
-    node, _ = parser.parse_expr(0)
+    space, _ = parser.parse_expr(0)
     end = parser.peek()
     if end.kind != "end":
         raise parser.fail(end, ("v", "^", "end of input"))
-    return node
+    return space
 
 
-def format_space(expr: SpaceExpr) -> str:
-    """Render a tree back to grammar text; parse(format(e)) rebuilds e."""
-    return _format(expr, 1)
+def evaluate(space: SpaceProfile) -> SpaceProfile:
+    """Return space unchanged; kept only because the benchmark's tracer wraps it."""
+    return space
 
 
-def _format(expr: SpaceExpr, minprec: int) -> str:
-    if isinstance(expr, Sphere):
-        return f"S^{expr.dim}"
-    if isinstance(expr, Projective):
-        return "RP^inf" if expr.dim is None else f"RP^{expr.dim}"
-    if isinstance(expr, Point):
-        return "pt"
-    if isinstance(expr, Named):
-        return expr.name
-    if isinstance(expr, Susp):
-        return f"susp({_format(expr.inner, 1)})"
-    if isinstance(expr, Cone):
-        return f"cone({_format(expr.inner, 1)})"
-    if isinstance(expr, Wedge):
-        body = f"{_format(expr.left, 1)} v {_format(expr.right, 2)}"
-        prec = 1
-    elif isinstance(expr, Smash):
-        body = f"{_format(expr.left, 2)} ^ {_format(expr.right, 3)}"
-        prec = 2
-    else:
-        raise TypeError(f"not a space expression: {expr!r}")
-    return f"({body})" if prec < minprec else body
-
-
-def evaluate(expr: SpaceExpr, catalog: Mapping[str, SpaceProfile] | None = None) -> SpaceProfile:
-    """Turn a syntax tree into a space profile."""
-    if isinstance(expr, Sphere):
-        return spaces.sphere(expr.dim)
-    if isinstance(expr, Projective):
-        return spaces.projective(math.inf if expr.dim is None else expr.dim)
-    if isinstance(expr, Point):
-        return spaces.point()
-    if isinstance(expr, Named):
-        if catalog is None or expr.name not in catalog:
-            raise UnknownName(expr.name)
-        return catalog[expr.name]
-    if isinstance(expr, Wedge):
-        return spaces.wedge(evaluate(expr.left, catalog), evaluate(expr.right, catalog))
-    if isinstance(expr, Smash):
-        return spaces.smash(evaluate(expr.left, catalog), evaluate(expr.right, catalog))
-    if isinstance(expr, Susp):
-        return spaces.suspend(evaluate(expr.inner, catalog))
-    if isinstance(expr, Cone):
-        return spaces.cone(evaluate(expr.inner, catalog))
-    raise TypeError(f"not a space expression: {expr!r}")
+def is_catalog_name(name: str) -> bool:
+    """True when name lexes as one identifier that is not a word of the grammar."""
+    try:
+        first = _tokenize(name)[0]
+    except ParseError:
+        return False
+    words = ("S", "RP", "pt", "susp", "cone", "v", "inf")
+    return first.kind == "ident" and first.text == name and name not in words

@@ -18,6 +18,7 @@ import math
 import os
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import HypothesisViolation
 from .gfcore import ZERO, IntPolynomial, RationalGF, T
@@ -131,10 +132,16 @@ def smash(a: SpaceProfile, b: SpaceProfile) -> SpaceProfile:
     One diagonal-null factor makes the whole smash diagonal-null.
     """
     return SpaceProfile(
-        f"{a.name} ^ {b.name}",
+        f"{_smash_operand(a.name)} ^ {_smash_operand(b.name)}",
         a.series * b.series,
         diagonal_null=a.diagonal_null or b.diagonal_null,
     )
+
+
+def _smash_operand(name: str) -> str:
+    """name, in parentheses when it names a wedge: ^ binds tighter than v."""
+    depths = accumulate(part.count("(") - part.count(")") for part in name.split(" v ")[:-1])
+    return f"({name})" if 0 in depths else name
 
 
 def suspend(a: SpaceProfile) -> SpaceProfile:
@@ -197,9 +204,11 @@ def parse_catalog(data: object) -> Mapping[str, SpaceProfile]:
 
     Each entry needs "name", integer coefficient arrays "numerator" and
     "denominator" (ascending degree, denominator nonzero at index 0), and a
-    boolean "diagonal_null"; "notes" is optional.  Every entry is validated
-    here; its series is built and reduced only when the entry is looked up.
+    boolean "diagonal_null"; "notes" is optional; a name must be one an
+    expression can reach.  Every entry is validated here; its series is
+    built and reduced only when the entry is looked up.
     """
+    from .spaceexpr import is_catalog_name  # spaceexpr imports this module
     if not isinstance(data, list):
         raise ValueError("catalog must be a JSON array of space objects")
     out: dict[str, tuple[tuple[int, ...], tuple[int, ...], bool, str]] = {}
@@ -213,8 +222,11 @@ def parse_catalog(data: object) -> Mapping[str, SpaceProfile]:
             diag = entry["diagonal_null"]
         except KeyError as missing:
             raise ValueError(f"catalog entry {i} lacks key {missing}") from None
-        if not isinstance(name, str) or not name:
-            raise ValueError(f"catalog entry {i}: name must be a nonempty string")
+        if not isinstance(name, str) or not is_catalog_name(name):
+            raise ValueError(
+                f"catalog entry {i}: no expression can name {name!r}; a name must be "
+                "one identifier other than S, RP, pt, susp, cone, v and inf"
+            )
         for label, arr in (("numerator", num), ("denominator", den)):
             # bool subclasses int, so JSON true/false would pass as 1/0.
             if not isinstance(arr, list) or not all(

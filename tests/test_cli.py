@@ -92,6 +92,17 @@ def test_compute_rejects_non_diagonal_null_subspace(capsys):
     assert "diagonal" in err
 
 
+def test_refusal_names_the_space_that_failed(capsys):
+    # without parentheses the name would read as RP^2 v (S^1 ^ RP^2)
+    argv = ["compute", "--A", "(RP^2 v S^1) ^ RP^2", "--Y", "RP^inf"]
+    assert run_cli(argv, capsys) == (
+        2,
+        "",
+        "error: (RP^2 v S^1) ^ RP^2: formula requires the subspace's reduced "
+        "diagonal declared null\n",
+    )
+
+
 def test_compute_rejects_malformed_expression(capsys):
     code, _, err = run_cli(["compute", "--A", "S^1 ^^ S^2", "--Y", "S^2"], capsys)
     assert code == 2
@@ -267,6 +278,21 @@ def test_bool_catalog_coefficient_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "numerator" in err
+
+
+@pytest.mark.parametrize("name", ["pt", "a b"])
+def test_catalog_name_no_expression_can_reach_exits_2(capsys, tmp_path, name):
+    # the point would shadow an entry "pt", and no expression can name "a b"
+    path = tmp_path / "catalog.json"
+    entry = {"name": name, "numerator": [0, 0, 5], "denominator": [1], "diagonal_null": True}
+    path.write_text(json.dumps([entry]))
+    argv = ["compute", "--A", "pt", "--Y", "S^1", "--degree", "5", "--catalog", str(path)]
+    assert run_cli(argv, capsys) == (
+        2,
+        "",
+        f"error: catalog entry 0: no expression can name {name!r}; a name must be "
+        "one identifier other than S, RP, pt, susp, cone, v and inf\n",
+    )
 
 
 def write_catalog(tmp_path, numerator):

@@ -1,54 +1,57 @@
-"""Space-expression lexing, parsing, printing, and evaluation."""
+"""Space-expression parsing: each expression is built into its profile."""
 
-import random
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loopspace.errors import HypothesisViolation, ParseError, UnknownName
+from loopspace.errors import ParseError, UnknownName
 from loopspace.gfcore import RationalGF
-from loopspace.spaces import SpaceProfile, sphere
-from loopspace.spaceexpr import (
-    MAX_DEPTH,
-    Cone,
-    Named,
-    Point,
-    Projective,
-    Smash,
-    Sphere,
-    Susp,
-    Wedge,
-    evaluate,
-    format_space,
-    parse_space,
+from loopspace.spaces import (
+    SpaceProfile,
+    cone,
+    parse_catalog,
+    point,
+    projective,
+    smash,
+    sphere,
+    suspend,
+    wedge,
 )
+from loopspace.spaceexpr import MAX_DEPTH, parse_space
 
 
 def test_parse_atoms():
-    assert parse_space("S^2") == Sphere(2)
-    assert parse_space("RP^3") == Projective(3)
-    assert parse_space("RP^inf") == Projective(None)
-    assert parse_space("pt") == Point()
-    assert parse_space("mystery") == Named("mystery")
+    assert parse_space("S^2") == sphere(2)
+    assert parse_space("RP^3") == projective(3)
+    assert parse_space("RP^inf") == projective(math.inf)
+    assert parse_space("pt") == point()
+    with pytest.raises(UnknownName) as info:
+        parse_space("mystery")
+    assert info.value.name == "mystery"
 
 
 def test_parse_precedence_smash_binds_tighter():
-    assert parse_space("S^1 ^ S^2 v S^3") == Wedge(Smash(Sphere(1), Sphere(2)), Sphere(3))
-    assert parse_space("S^1 v S^2 ^ S^3") == Wedge(Sphere(1), Smash(Sphere(2), Sphere(3)))
+    s1, s2, s3 = sphere(1), sphere(2), sphere(3)
+    assert parse_space("S^1 ^ S^2 v S^3") == wedge(smash(s1, s2), s3)
+    assert parse_space("S^1 v S^2 ^ S^3") == wedge(s1, smash(s2, s3))
 
 
 def test_parse_left_associativity():
-    assert parse_space("S^1 v S^2 v S^3") == Wedge(Wedge(Sphere(1), Sphere(2)), Sphere(3))
-    assert parse_space("S^1 ^ S^2 ^ S^3") == Smash(Smash(Sphere(1), Sphere(2)), Sphere(3))
+    s1, s2, s3 = sphere(1), sphere(2), sphere(3)
+    assert parse_space("S^1 v S^2 v S^3") == wedge(wedge(s1, s2), s3)
+    assert parse_space("S^1 ^ S^2 ^ S^3") == smash(smash(s1, s2), s3)
 
 
 def test_parse_parentheses_override():
-    assert parse_space("S^1 ^ (S^2 v S^3)") == Smash(Sphere(1), Wedge(Sphere(2), Sphere(3)))
+    assert parse_space("S^1 ^ (S^2 v S^3)") == smash(sphere(1), wedge(sphere(2), sphere(3)))
 
 
 def test_parse_susp_and_cone():
-    assert parse_space("susp(S^1 v S^1)") == Susp(Wedge(Sphere(1), Sphere(1)))
-    assert parse_space("cone(S^1)") == Cone(Sphere(1))
-    assert parse_space("susp(cone(pt))") == Susp(Cone(Point()))
+    assert parse_space("susp(S^1 v S^1)") == suspend(wedge(sphere(1), sphere(1)))
+    assert parse_space("cone(S^1)") == cone(sphere(1))
+    assert parse_space("susp(cone(pt))") == suspend(cone(point()))
 
 
 def test_parse_ignores_whitespace():
@@ -88,16 +91,23 @@ def test_parse_accepts_ascii_digits_only():
 
 
 def test_parse_error_carries_expected_tokens():
+    # "v S^1" reads the name v first, and no catalog defines it: UnknownName
     with pytest.raises(ParseError) as info:
-        parse_space("v S^1")
-    assert info.value.expected  # nonempty description of what was allowed
+        parse_space("^ S^1")
+    assert info.value.expected == (
+        "S^<int>", "RP^<int|inf>", "pt", "identifier", "susp(", "cone(", "("
+    )
+    with pytest.raises(ParseError) as info:
+        parse_space("S^1 S^2")
+    assert (info.value.offset, info.value.expected) == (4, ("v", "^", "end of input"))
 
 
 def test_depth_limit():
     # parentheses, susp( and cone( each count one level, as does each operator
     at_limit = "(" * MAX_DEPTH + "S^1" + ")" * MAX_DEPTH
-    assert parse_space(at_limit) == Sphere(1)
-    assert isinstance(parse_space(" v ".join(["S^1"] * (MAX_DEPTH + 1))), Wedge)
+    assert parse_space(at_limit) == sphere(1)
+    chain = parse_space(" v ".join(["S^1"] * (MAX_DEPTH + 1)))
+    assert chain.series == RationalGF.from_coeffs([0, MAX_DEPTH + 1])
     too_deep = [
         "(" * (MAX_DEPTH + 1) + "S^1" + ")" * (MAX_DEPTH + 1),
         "susp(" * (MAX_DEPTH + 1) + "pt" + ")" * (MAX_DEPTH + 1),
@@ -113,101 +123,102 @@ def test_depth_limit():
 
 def test_catalog_names_resolve_eagerly():
     cat = {"M": SpaceProfile("M", RationalGF.from_coeffs([0, 1]))}
-    assert parse_space("M v S^1", cat) == Wedge(Named("M"), Sphere(1))
-    with pytest.raises(UnknownName):
-        parse_space("S^1 v mystery", {})
+    assert parse_space("M v S^1", cat) == wedge(cat["M"], sphere(1))
+    for catalog in ({}, None):
+        with pytest.raises(UnknownName):
+            parse_space("S^1 v mystery", catalog)
+        # the name is read, and refused, before the syntax error after it
+        with pytest.raises(UnknownName):
+            parse_space("mystery v (", catalog)
 
 
 def test_keywords_in_operand_position_are_plain_names():
-    assert parse_space("susp") == Named("susp")
-    assert parse_space("S") == Named("S")
-    assert parse_space("v", None) == Named("v")
+    cat = parse_catalog([{"name": "M", "numerator": [0, 1], "denominator": [1], "diagonal_null": True}])
+    for text, catalog in (("susp", None), ("S", None), ("v", None), ("cone v M", cat), ("inf", cat)):
+        with pytest.raises(UnknownName) as info:
+            parse_space(text, catalog)
+        assert info.value.name == text.split()[0]
 
 
 def test_evaluate_atoms():
-    assert evaluate(parse_space("S^2")).series == RationalGF.from_coeffs([0, 0, 1])
-    assert evaluate(parse_space("RP^inf")).series == RationalGF.from_coeffs(
-        [0, 1], [1, -1]
-    )
-    assert evaluate(parse_space("RP^2")).series == RationalGF.from_coeffs([0, 1, 1])
-    assert evaluate(parse_space("pt")).series.num.is_zero
+    assert parse_space("S^2").series == RationalGF.from_coeffs([0, 0, 1])
+    assert parse_space("RP^inf").series == RationalGF.from_coeffs([0, 1], [1, -1])
+    assert parse_space("RP^2").series == RationalGF.from_coeffs([0, 1, 1])
+    assert parse_space("pt").series.num.is_zero
 
 
 def test_evaluate_operators():
-    susp_wedge = evaluate(parse_space("susp(S^1 v S^1)"))
+    susp_wedge = parse_space("susp(S^1 v S^1)")
     assert susp_wedge.series == RationalGF.from_coeffs([0, 0, 2])
     assert susp_wedge.diagonal_null
-    assert evaluate(parse_space("S^1 ^ S^2")).series == RationalGF.from_coeffs(
-        [0, 0, 0, 1]
-    )
-    assert evaluate(parse_space("cone(RP^3)")).series.num.is_zero
+    assert parse_space("S^1 ^ S^2").series == RationalGF.from_coeffs([0, 0, 0, 1])
+    assert parse_space("cone(RP^3)").series.num.is_zero
 
 
 def test_evaluate_rejects_invalid_dimensions():
     with pytest.raises(ValueError):
-        evaluate(parse_space("S^0"))
+        parse_space("S^0")
     with pytest.raises(ValueError):
-        evaluate(parse_space("RP^0"))
+        parse_space("RP^0")
+    # an invalid atom is refused as it is read, before a later syntax error
+    with pytest.raises(ValueError, match="sphere dimension"):
+        parse_space("S^0 v (")
 
 
 def test_evaluate_named_needs_catalog():
     cat = {"M": SpaceProfile("M", RationalGF.from_coeffs([0, 3]))}
-    assert evaluate(parse_space("M"), cat).series == RationalGF.from_coeffs([0, 3])
+    assert parse_space("M", cat).series == RationalGF.from_coeffs([0, 3])
     with pytest.raises(UnknownName):
-        evaluate(Named("M"))
-
-
-def test_evaluate_rejects_foreign_objects():
-    with pytest.raises(TypeError):
-        evaluate("S^1")  # must be a tree, not raw text
+        parse_space("M")
 
 
 def test_format_inserts_parens_only_when_needed():
-    assert format_space(parse_space("S^1 ^ (S^2 v S^3)")) == "S^1 ^ (S^2 v S^3)"
-    assert format_space(parse_space("S^1 ^ S^2 v S^3")) == "S^1 ^ S^2 v S^3"
-    assert format_space(Wedge(Wedge(Sphere(1), Sphere(2)), Sphere(3))) == "S^1 v S^2 v S^3"
-    assert format_space(Smash(Sphere(1), Smash(Sphere(2), Sphere(3)))) == (
-        "S^1 ^ (S^2 ^ S^3)"
+    # a profile's name parenthesizes exactly the wedge operands of a smash
+    assert parse_space("S^1 ^ (S^2 v S^3)").name == "S^1 ^ (S^2 v S^3)"
+    assert parse_space("S^1 ^ S^2 v S^3").name == "S^1 ^ S^2 v S^3"
+    assert parse_space("(S^1 v S^2) v S^3").name == "S^1 v S^2 v S^3"
+    assert parse_space("S^1 ^ (S^2 ^ S^3)").name == "S^1 ^ S^2 ^ S^3"
+    assert parse_space("(S^1 v S^2) ^ (S^3 ^ (pt v pt))").name == "(S^1 v S^2) ^ S^3 ^ (pt v pt)"
+    assert parse_space("susp(S^1 v S^2) ^ cone(S^1 v S^1)").name == (
+        "susp(S^1 v S^2) ^ cone(S^1 v S^1)"
+    )
+    # the same names when the profiles are built directly
+    assert smash(wedge(sphere(1), sphere(2)), sphere(3)).name == "(S^1 v S^2) ^ S^3"
+    assert smash(sphere(3), smash(wedge(sphere(1), sphere(2)), sphere(3))).name == (
+        "S^3 ^ (S^1 v S^2) ^ S^3"
     )
 
 
-def random_tree(rng, depth):
-    if depth == 0 or rng.random() < 0.3:
-        return rng.choice(
-            [
-                Sphere(rng.randint(1, 4)),
-                Projective(rng.choice([1, 2, 3, None])),
-                Point(),
-                Named(rng.choice(["alpha", "beta_2", "M"])),
-            ]
-        )
-    kind = rng.randrange(4)
-    if kind == 0:
-        return Wedge(random_tree(rng, depth - 1), random_tree(rng, depth - 1))
-    if kind == 1:
-        return Smash(random_tree(rng, depth - 1), random_tree(rng, depth - 1))
-    if kind == 2:
-        return Susp(random_tree(rng, depth - 1))
-    return Cone(random_tree(rng, depth - 1))
+CATALOG = parse_catalog(
+    [
+        {"name": "alpha", "numerator": [0, 1, 2], "denominator": [1, -2], "diagonal_null": True},
+        {"name": "beta_2", "numerator": [1, 3], "denominator": [1, -1], "diagonal_null": False},
+        {"name": "M", "numerator": [0, 0, 1], "denominator": [1], "diagonal_null": False},
+    ]
+)
+ATOMS = st.sampled_from(
+    ["S^1", "S^2", "S^4", "RP^1", "RP^2", "RP^3", "RP^inf", "pt", "alpha", "beta_2", "M"]
+)
+EXPRESSIONS = st.recursive(
+    ATOMS,
+    lambda inner: st.one_of(
+        st.builds("{} v {}".format, inner, inner),
+        st.builds("{} ^ {}".format, inner, inner),
+        st.builds("susp({})".format, inner),
+        st.builds("cone({})".format, inner),
+        st.builds("({})".format, inner),
+    ),
+    max_leaves=12,
+)
 
 
-def test_roundtrip_random_trees():
-    rng = random.Random(29)
-    for _ in range(60):
-        tree = random_tree(rng, 5)
-        assert parse_space(format_space(tree)) == tree
-
-
-def test_roundtrip_evaluation_consistency():
-    # printing and reparsing cannot change the computed series
-    rng = random.Random(31)
-    for _ in range(20):
-        tree = random_tree(rng, 4)
-        text = format_space(tree)
-        try:
-            direct = evaluate(tree)
-        except (UnknownName, ValueError, HypothesisViolation):
-            continue
-        again = evaluate(parse_space(text))
-        assert again.series == direct.series
-        assert again.diagonal_null == direct.diagonal_null
+@settings(max_examples=300, deadline=None)
+@given(text=EXPRESSIONS)
+def test_profile_names_reparse_to_the_profile(text):
+    # A diagnostic names a space by its profile's name, so the name must
+    # mean the same space: same series and flags, and the same name again.
+    space = parse_space(text, CATALOG)
+    again = parse_space(space.name, CATALOG)
+    assert again.series == space.series
+    assert again.diagonal_null == space.diagonal_null
+    assert again == space

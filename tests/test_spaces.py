@@ -250,6 +250,23 @@ def test_parse_catalog_rejects_bool_coefficients():
         parse_catalog([_entry(den=(True, False))])
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["S", "RP", "pt", "susp", "cone", "v", "inf", "a b", "S^2", "1a", "a-b", "x(y)", " a", "a "],
+)
+def test_parse_catalog_refuses_names_no_expression_can_reach(name):
+    # the grammar's words would be shadowed; the rest are not one identifier
+    with pytest.raises(ValueError, match=re.escape(f"catalog entry 0: no expression can name {name!r}")):
+        parse_catalog([_entry(name=name)])
+
+
+def test_parse_catalog_accepts_identifier_names():
+    # the benchmark's names and those the tests use
+    names = [f"c{i}" for i in range(24)] + [f"E{i}" for i in range(24)]
+    names += ["M", "N", "W", "fib", "neg", "bad", "torusish", "alpha", "beta_2", "_x", "Sv", "pts"]
+    assert list(parse_catalog([_entry(name=name) for name in names])) == names
+
+
 def test_parse_catalog_enforces_profile_invariants():
     # diagonal_null with nonzero constant coefficient is contradictory
     with pytest.raises(HypothesisViolation):
