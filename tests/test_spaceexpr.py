@@ -214,11 +214,20 @@ EXPRESSIONS = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(text=EXPRESSIONS)
-def test_profile_names_reparse_to_the_profile(text):
+def test_roundtrip_random_trees(text):
     # A diagnostic names a space by its profile's name, so the name must
-    # mean the same space: same series and flags, and the same name again.
+    # parse back to the same profile, which prints the same name again.
+    space = parse_space(text, CATALOG)
+    again = parse_space(space.name, CATALOG)
+    assert again == space
+    assert again.name == space.name
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=EXPRESSIONS)
+def test_roundtrip_evaluation_consistency(text):
+    # printing and reparsing cannot change the computed series or flags
     space = parse_space(text, CATALOG)
     again = parse_space(space.name, CATALOG)
     assert again.series == space.series
     assert again.diagonal_null == space.diagonal_null
-    assert again == space
