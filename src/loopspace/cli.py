@@ -13,7 +13,9 @@ All numeric output is exact integers; diagnostics go to stderr.
 Inputs beyond the documented limits (``--degree`` above ``MAX_DEGREE``,
 ``verify --degree`` above ``MAX_VERIFY_DEGREE``, ``--kmax`` above
 ``MAX_KMAX``, ``spaceexpr.MAX_DEPTH``,
-``spaces.MAX_DIMENSION``) are usage errors, and so is a coefficient too long
+``spaces.MAX_DIMENSION``, ``spaces.MAX_SERIES_DEGREE`` for a wedge or
+smash, ``spaces.MAX_CATALOG_LENGTH`` for a catalog entry's coefficient
+arrays) are usage errors, and so is a coefficient too long
 for Python's int-to-str limit, which is read and never changed.
 """
 

@@ -6,11 +6,18 @@ such polynomials reduced to lowest terms once, when they are built, and
 series expansion is an integer linear recurrence driven by the denominator.
 No floats anywhere.  The surface is what the library calls: an int is
 accepted only on the right of a polynomial operator and nowhere in RationalGF.
+
+The reduction's gcd is found by the heuristic GCDHEU, which moves the work
+into one C-level ``math.gcd`` of two large integers.  Its candidate is only
+a guess until exact division shows that it divides both inputs, so nothing
+unverified is accepted; when a few guesses fail, the primitive polynomial
+remainder sequence, pure Python and much slower, computes the same gcd.
 """
 
 from __future__ import annotations
 
 from math import gcd as _int_gcd
+from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -199,25 +206,23 @@ def _as_poly(value: object) -> IntPolynomial:
 def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Pseudo-remainder of a by b: rem(lc(b)^(deg a - deg b + 1) * a, b)."""
     da, db = a.degree, b.degree
-    lead = b.coeffs[-1]
+    bcs = b.coeffs
+    lead = bcs[-1]
     rem = list(a.coeffs)
     for i in range(da - db, -1, -1):
         head = rem[i + db]
-        # Scale the whole remainder so the head divides exactly.
-        for j in range(len(rem)):
+        # Scale the live prefix so the head divides exactly; the entries
+        # above i + db are already zero.
+        for j in range(i + db):
             rem[j] *= lead
-        for j, bc in enumerate(b.coeffs):
-            rem[j + i] -= head * bc
+        for j in range(db):
+            rem[i + j] -= head * bcs[j]
         rem[i + db] = 0
     return IntPolynomial(rem)
 
 
-def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Greatest common divisor in Z[t], content included.
-
-    The result carries a positive leading coefficient (gcd of the contents
-    for the constant case); ``poly_gcd(0, 0)`` is the zero polynomial.
-    """
+def _prs_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """poly_gcd by the primitive polynomial remainder sequence; same contract."""
     if a.is_zero and b.is_zero:
         return IntPolynomial()
     if a.is_zero:
@@ -233,6 +238,91 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     if a.coeffs[-1] < 0:
         a = -a
     return a * c
+
+
+#: Evaluation points the heuristic gcd tries before it leaves the inputs
+#: to the remainder sequence.
+_HEU_TRIES = 6
+
+
+def _value_at(p: IntPolynomial, xi: int) -> int:
+    """p(xi) by Horner's rule."""
+    value = 0
+    for c in reversed(p.coeffs):
+        value = value * xi + c
+    return value
+
+
+def _balanced_digits(value: int, xi: int) -> IntPolynomial:
+    """The polynomial whose coefficients are value's digits in base xi, each in (-xi/2, xi/2]."""
+    half = xi // 2
+    digits = []
+    while value:
+        value, d = divmod(value, xi)
+        if d > half:
+            d -= xi
+            value += 1
+        digits.append(d)
+    return IntPolynomial(digits)
+
+
+def _heuristic_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial | None:
+    """GCDHEU on primitive a and b of degree >= 1; None when it gives up.
+
+    The returned gcd is primitive with a positive leading coefficient.
+    """
+    norm = min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs)))
+    # 2 * norm + 2 is all the acceptance theorem needs; the wider margin
+    # keeps small inputs off small values, which often share a stray factor.
+    xi = 2 * norm + 29
+    for _ in range(_HEU_TRIES):
+        va, vb = _value_at(a, xi), _value_at(b, xi)
+        if va and vb:
+            h = _balanced_digits(_int_gcd(va, vb), xi).primitive_part()
+            if h.coeffs[-1] < 0:
+                h = -h
+            if h.degree == 0:
+                return h
+            try:
+                a.divexact(h)
+                b.divexact(h)
+            except ArithmeticError:
+                pass
+            else:
+                return h
+        # Grow xi by about 2.73 * xi^(1/4), the factor of Geddes et al.
+        xi = xi * isqrt(isqrt(xi)) * 73794 // 27011
+    return None
+
+
+def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """Greatest common divisor in Z[t], content included.
+
+    The result carries a positive leading coefficient (gcd of the contents
+    for the constant case); ``poly_gcd(0, 0)`` is the zero polynomial.
+
+    Two nonconstant inputs go to the heuristic gcd GCDHEU (Char, Geddes and
+    Gonnet 1989; Geddes, Czapor and Labahn, *Algorithms for Computer
+    Algebra*, 1992, section 7.7).  With |p| the largest coefficient size of
+    p's primitive part, it evaluates both primitive parts at the integer
+    xi = 2 * min(|a|, |b|) + 29, takes the integer gcd of the two values
+    with ``math.gcd``, and reads the balanced base-xi digits of that gcd
+    back as a polynomial h.  The two values may share a factor that is no
+    value of a common divisor, so h is only a guess: its primitive part is
+    accepted once exact division shows that it divides both inputs, and
+    for xi >= 2 * min(|a|, |b|) + 2 such a divisor is the gcd (the theorem
+    behind GCDHEU).  Otherwise xi grows, ``_HEU_TRIES`` times in all, and
+    then the primitive remainder sequence ``_prs_gcd``, pure Python and far
+    slower on long inputs, decides.  Either way the result is the same
+    polynomial, and neither path calls this function again.
+    """
+    if a.is_zero or b.is_zero:
+        return _prs_gcd(a, b)
+    c = _int_gcd(a.content(), b.content())
+    if a.degree == 0 or b.degree == 0:
+        return IntPolynomial((c,))
+    h = _heuristic_gcd(a.primitive_part(), b.primitive_part())
+    return _prs_gcd(a, b) if h is None else h * c
 
 
 class TruncSeries:

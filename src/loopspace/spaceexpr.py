@@ -190,7 +190,8 @@ def parse_space(text: str, catalog: Mapping[str, SpaceProfile] | None = None) ->
     Raises ParseError (with offset and expected-token set) on malformed
     input or a depth above MAX_DEPTH, UnknownName for an identifier missing
     from the catalog (every identifier, without one), and ValueError for a
-    dimension ``spaces`` refuses; the first fault in the text is reported.
+    dimension or series degree ``spaces`` refuses; the first fault in the
+    text is reported.
     """
     parser = _Parser(_tokenize(text), catalog)
     space, _ = parser.parse_expr(0)

@@ -27,6 +27,18 @@ from .gfcore import ZERO, IntPolynomial, RationalGF, T
 #: before the n + 1 coefficients of the series are allocated.
 MAX_DIMENSION = 1000
 
+#: Largest numerator or denominator degree a wedge or smash may build,
+#: checked before the series are multiplied.  Building the largest accepted
+#: smash, RP^1000 ^ RP^1000, takes about 0.1 s; each further factor of
+#: degree 1000 would cost more than the last, and 12 of them took 9.8 s.
+MAX_SERIES_DEGREE = 2 * MAX_DIMENSION
+
+#: Longest numerator or denominator array a catalog entry may have.  Two
+#: random entries of this length take about 1.6 s through
+#: ``collapse --mono --A E0 --Y "E0 v E1"`` even when every gcd falls back
+#: to the remainder sequence (length 80 took 3.6 s, 96 took 8.2 s).
+MAX_CATALOG_LENGTH = 64
+
 
 def _check_diagonal_null(name: str, diagonal_null: bool, constant: int) -> None:
     """Refuse a diagonal-null space whose series numerator is nonzero at t = 0.
@@ -117,8 +129,23 @@ def cone(space: SpaceProfile) -> SpaceProfile:
     return SpaceProfile(f"cone({space.name})", ZERO, diagonal_null=True)
 
 
+def _check_degree(operator: str, a: SpaceProfile, b: SpaceProfile, degree: int) -> None:
+    """Refuse the operator on a and b when its series would have this degree."""
+    if degree > MAX_SERIES_DEGREE:
+        raise ValueError(
+            f"{operator} of {a.name} and {b.name}: its series would have degree "
+            f"{degree}, above the limit {MAX_SERIES_DEGREE}"
+        )
+
+
 def wedge(a: SpaceProfile, b: SpaceProfile) -> SpaceProfile:
-    """One-point union; reduced series add, diagonal-null only if both are."""
+    """One-point union; reduced series add, diagonal-null only if both are.
+
+    Refused with ValueError when the sum, before it is reduced, would have a
+    numerator or denominator degree above MAX_SERIES_DEGREE.
+    """
+    (xn, xd), (yn, yd) = ((p.series.num.degree, p.series.den.degree) for p in (a, b))
+    _check_degree("wedge", a, b, max(xn + yd, yn + xd, xd + yd))
     return SpaceProfile(
         f"{a.name} v {b.name}",
         a.series + b.series,
@@ -129,8 +156,12 @@ def wedge(a: SpaceProfile, b: SpaceProfile) -> SpaceProfile:
 def smash(a: SpaceProfile, b: SpaceProfile) -> SpaceProfile:
     """Smash product; reduced series multiply (Kunneth over a field).
 
-    One diagonal-null factor makes the whole smash diagonal-null.
+    One diagonal-null factor makes the whole smash diagonal-null.  Refused
+    with ValueError, before anything is multiplied, when the product would
+    have a numerator or denominator degree above MAX_SERIES_DEGREE.
     """
+    (xn, xd), (yn, yd) = ((p.series.num.degree, p.series.den.degree) for p in (a, b))
+    _check_degree("smash", a, b, max(xn + yn, xd + yd))
     return SpaceProfile(
         f"{_smash_operand(a.name)} ^ {_smash_operand(b.name)}",
         a.series * b.series,
@@ -203,10 +234,11 @@ def parse_catalog(data: object) -> Mapping[str, SpaceProfile]:
     """Build profiles from decoded catalog JSON (a list of objects).
 
     Each entry needs "name", integer coefficient arrays "numerator" and
-    "denominator" (ascending degree, denominator nonzero at index 0), and a
-    boolean "diagonal_null"; "notes" is optional; a name must be one an
-    expression can reach.  Every entry is validated here; its series is
-    built and reduced only when the entry is looked up.
+    "denominator" (ascending degree, at most MAX_CATALOG_LENGTH entries,
+    denominator nonzero at index 0), and a boolean "diagonal_null"; "notes"
+    is optional; a name must be one an expression can reach.  Every entry
+    is validated here; its series is built and reduced only when the entry
+    is looked up.
     """
     from .spaceexpr import is_catalog_name  # spaceexpr imports this module
     if not isinstance(data, list):
@@ -233,6 +265,11 @@ def parse_catalog(data: object) -> Mapping[str, SpaceProfile]:
                 isinstance(c, int) and not isinstance(c, bool) for c in arr
             ):
                 raise ValueError(f"catalog entry {name!r}: {label} must be a list of integers")
+            if len(arr) > MAX_CATALOG_LENGTH:
+                raise ValueError(
+                    f"catalog entry {name!r}: {label} has {len(arr)} coefficients, "
+                    f"more than the limit {MAX_CATALOG_LENGTH}"
+                )
         if not den or den[0] == 0:
             raise ValueError(
                 f"catalog entry {name!r}: denominator needs a nonzero entry at index 0"

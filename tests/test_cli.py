@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopspace
-from loopspace import cli
+from loopspace import cli, spaces
 from loopspace.gfcore import RationalGF, TruncSeries
 
 
@@ -311,6 +312,31 @@ def test_negative_catalog_series_exits_2(capsys, tmp_path, command):
         assert code == 2
         assert out == ""
         assert "negative" in err and "t^1" in err
+
+
+def test_catalog_entry_above_the_length_limit_exits_2(capsys, tmp_path):
+    catalog = write_catalog(tmp_path, [0] * spaces.MAX_CATALOG_LENGTH + [1])
+    argv = ["collapse", "--mono", "--A", "M", "--Y", "M v S^1", "--catalog", catalog]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: catalog entry 'M': numerator has {spaces.MAX_CATALOG_LENGTH + 1} "
+        f"coefficients, more than the limit {spaces.MAX_CATALOG_LENGTH}\n"
+    )
+
+
+def test_smash_above_the_degree_limit_exits_2_quickly(capsys):
+    # twelve factors of degree 1000; the third passes the limit
+    argv = ["compute", "--A", " ^ ".join(["RP^1000"] * 12), "--Y", "S^2", "--degree", "5"]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: smash of RP^1000 ^ RP^1000 and RP^1000: ")
+    assert err.endswith(f"degree 3000, above the limit {spaces.MAX_SERIES_DEGREE}\n")
+    assert err.count("\n") == 1
 
 
 def test_negative_coefficient_beyond_degree_is_not_checked(capsys, tmp_path):

@@ -13,7 +13,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from loopspace import gfcore
 from loopspace.errors import (
     NonIntegerSeriesError,
     NonUnitConstantError,
@@ -25,6 +28,7 @@ from loopspace.gfcore import (
     ZERO,
     IntPolynomial,
     RationalGF,
+    _prs_gcd,
     poly_gcd,
 )
 
@@ -211,6 +215,72 @@ def test_poly_gcd_edge_cases():
     assert poly_gcd(IntPolynomial([0, 2]), IntPolynomial()).coeffs == (0, 2)
     assert poly_gcd(IntPolynomial(), IntPolynomial([-4])).coeffs == (4,)
     assert poly_gcd(IntPolynomial([6]), IntPolynomial([4])).coeffs == (2,)
+
+
+COEFFS = st.integers(-40, 40) | st.sampled_from([-(10**12), 10**12 + 1])
+POLYS = st.lists(COEFFS, max_size=7).map(IntPolynomial)
+CONTENTS = st.sampled_from([1, 1, -1, 2, -6, 35])
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=POLYS, g=POLYS, h=POLYS, cf=CONTENTS, cg=CONTENTS)
+def test_poly_gcd_equals_the_remainder_sequence(f, g, h, cf, cg):
+    # zero, constants, negative leading coefficients and contents all occur
+    a, b = f * h * cf, g * h * cg
+    assert poly_gcd(a, b) == _prs_gcd(a, b)
+    assert poly_gcd(b, a) == _prs_gcd(a, b)
+
+
+CYCLOTOMIC_PAIRS = [
+    # t^105 - 1 has coefficients of size 1, but one of its cyclotomic
+    # factors has a coefficient -2; the gcds are t^70 + t^35 + 1 and t^21 - 1
+    ([-1] + [0] * 104 + [1], [1] + [0] * 34 + [1] + [0] * 34 + [1]),
+    ([-1] + [0] * 104 + [1], [-1] + [0] * 62 + [1]),
+    ([1, 2, 1] * 5, [1, 0, -1] * 6),
+]
+
+
+def test_poly_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(61)
+
+    def draw(degree, size):
+        return [rng.randint(-size, size) for _ in range(degree + 1)]
+
+    pairs = list(CYCLOTOMIC_PAIRS)
+    for _ in range(150):
+        h = draw(rng.randint(0, 6), rng.choice([1, 3, 1000]))
+        f, g = draw(rng.randint(0, 8), 9), draw(rng.randint(0, 8), 9)
+        pairs.append((poly_product(f, h), poly_product(g, h)))
+    for a, b in pairs:
+        expected = sympy.Poly(list(reversed(a)), t).gcd(sympy.Poly(list(reversed(b)), t))
+        got = poly_gcd(IntPolynomial(a), IntPolynomial(b))
+        assert list(reversed(got.coeffs or (0,))) == [int(c) for c in expected.all_coeffs()]
+
+
+def test_poly_gcd_falls_back_to_the_remainder_sequence(monkeypatch):
+    rng = random.Random(67)
+    pairs = [(IntPolynomial(a), IntPolynomial(b)) for a, b in CYCLOTOMIC_PAIRS]
+    for _ in range(60):
+        h = IntPolynomial([rng.randint(-5, 5) for _ in range(rng.randint(1, 5))] + [rng.choice([1, -2])])
+        pairs.append((h * IntPolynomial([rng.randint(-9, 9) for _ in range(6)]),
+                      h * IntPolynomial([rng.randint(-9, 9) for _ in range(5)])))
+    heuristic = [poly_gcd(a, b) for a, b in pairs]
+    fallbacks = []
+    monkeypatch.setattr(gfcore, "_heuristic_gcd", lambda a, b: None)
+    monkeypatch.setattr(gfcore, "_prs_gcd", lambda a, b: fallbacks.append(1) or _prs_gcd(a, b))
+    assert [poly_gcd(a, b) for a, b in pairs] == heuristic
+    assert len(fallbacks) == len(pairs)
+
+
+def test_pseudo_remainder():
+    # t^3 + 1 = (t^2 - t + 1) * (t + 1), and by 2t + 1 with lc 2 scaled in
+    # three times, 8 * (t^3 + 1) = (4t^2 - 2t + 1) * (2t + 1) + 7
+    a = IntPolynomial([1, 0, 0, 1])
+    assert gfcore._pseudo_rem(a, IntPolynomial([1, 1])).is_zero
+    assert gfcore._pseudo_rem(a, IntPolynomial([1, 2])).coeffs == (7,)
+    assert gfcore._pseudo_rem(IntPolynomial([5, 3]), IntPolynomial([1, 0, 1])).coeffs == (5, 3)
 
 
 # -------------------------------------------------------------- RationalGF

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from loopspace.errors import HypothesisViolation
 from loopspace.gfcore import IntPolynomial, RationalGF, T, TruncSeries
 from loopspace.spaces import (
+    MAX_CATALOG_LENGTH,
     MAX_DIMENSION,
+    MAX_SERIES_DEGREE,
     PairInclusion,
     SpaceProfile,
     cone,
@@ -50,6 +52,18 @@ def test_dimensions_above_the_limit_are_refused():
         sphere(MAX_DIMENSION + 1)
     with pytest.raises(ValueError, match="between 1 and"):
         projective(99_999_999_999)  # refused before any coefficient list is built
+
+
+def test_series_degrees_above_the_limit_are_refused():
+    top = sphere(MAX_DIMENSION)
+    largest = smash(top, top)
+    assert largest.series.num.degree == 2 * MAX_DIMENSION == MAX_SERIES_DEGREE
+    with pytest.raises(ValueError, match=f"degree {MAX_SERIES_DEGREE + 1}, above the limit"):
+        smash(largest, sphere(1))
+    # a wedge counts the unreduced sum, here t + (1 - t) * t^n over 1 - t
+    wedge(projective(math.inf), smash(top, sphere(MAX_DIMENSION - 1)))
+    with pytest.raises(ValueError, match=f"wedge of RP\\^inf and {re.escape(largest.name)}"):
+        wedge(projective(math.inf), largest)
 
 
 def test_profiles_hash():
@@ -240,6 +254,14 @@ def test_parse_catalog_rejects_bad_shapes():
         parse_catalog([_entry(diag="yes")])
     with pytest.raises(ValueError):
         parse_catalog([_entry(), _entry()])  # duplicate name
+
+
+@pytest.mark.parametrize("label", ["numerator", "denominator"])
+def test_parse_catalog_refuses_arrays_above_the_length_limit(label):
+    longest = [1] + [0] * (MAX_CATALOG_LENGTH - 1)
+    parse_catalog([_entry(**{label[:3]: longest})])
+    with pytest.raises(ValueError, match=f"{label} has {MAX_CATALOG_LENGTH + 1} coefficients"):
+        parse_catalog([_entry(**{label[:3]: longest + [1]})])
 
 
 def test_parse_catalog_rejects_bool_coefficients():
