@@ -11,12 +11,13 @@ Exit codes are part of the contract: 0 success, 1 a verification or
 identity mismatch, 2 usage or hypothesis errors.  Nothing else.
 All numeric output is exact integers; diagnostics go to stderr.
 Inputs beyond the documented limits (``--degree`` above ``MAX_DEGREE``,
-``verify --degree`` above ``MAX_VERIFY_DEGREE``, ``--kmax`` above
-``MAX_KMAX``, ``spaceexpr.MAX_DEPTH``,
-``spaces.MAX_DIMENSION``, ``spaces.MAX_SERIES_DEGREE`` for a wedge or
-smash, ``spaces.MAX_CATALOG_LENGTH`` for a catalog entry's coefficient
-arrays) are usage errors, and so is a coefficient too long
-for Python's int-to-str limit, which is read and never changed.
+``verify --degree`` above ``MAX_VERIFY_DEGREE``, ``--degree`` times a
+denominator degree above ``MAX_EXPANSION_WORK``, ``--kmax`` above
+``MAX_KMAX``, ``spaceexpr.MAX_DEPTH``, ``spaces.MAX_DIMENSION``,
+``spaces.MAX_SERIES_DEGREE`` for a wedge or smash, ``spaces.MAX_CATALOG_LENGTH``
+and ``spaces.MAX_CATALOG_BITS`` for a catalog entry's coefficient arrays)
+are usage errors, and so is a coefficient too long for Python's int-to-str
+limit, which is read and never changed.
 """
 
 from __future__ import annotations
@@ -35,10 +36,16 @@ from .spaceexpr import evaluate, parse_space
 #: Largest --degree accepted; expansion time and memory grow with it.
 MAX_DEGREE = 10_000
 
-#: Largest verify --degree accepted.  The oracle's power table has about
-#: N^3/2 entries and its sum costs O(N^4); at this degree the densest pairs
-#: take about 3 s and 40 MB.
-MAX_VERIFY_DEGREE = 120
+#: Largest verify --degree accepted.  The oracle costs O(N^3) integer
+#: operations and O(N^2) memory; at this degree the densest pairs tried
+#: take about 2-2.5 s and 17 MB.
+MAX_VERIFY_DEGREE = 250
+
+#: Largest --degree times denominator degree accepted for an expansion,
+#: which costs that many multiply-adds on growing integers.  At this budget
+#: ``compute --A S^1 --Y RP^499 --degree 10000`` takes about 3 s, and
+#: ``--Y "RP^1000 ^ RP^1000" --degree 2498`` about 0.9 s.
+MAX_EXPANSION_WORK = 5_000_000
 
 #: Largest --kmax accepted.  identity checks each k once, expanded to
 #: --degree; at kmax 48 and degree 10000 that takes about 3 s.
@@ -66,6 +73,16 @@ def _check_limit(flag: str, value: int, limit: int) -> None:
         raise ValueError(f"{flag} must be between 0 and {limit}, got {value}")
 
 
+def _check_expansion(name: str, den_degree: int, degree: int) -> None:
+    """Refuse to expand a series to degree when that exceeds MAX_EXPANSION_WORK."""
+    if degree * den_degree > MAX_EXPANSION_WORK:
+        raise ValueError(
+            f"expanding {name}, whose denominator has degree {den_degree}, to degree "
+            f"{degree} is above the work limit {MAX_EXPANSION_WORK} for the product of "
+            f"the two; lower --degree to {MAX_EXPANSION_WORK // den_degree} or below"
+        )
+
+
 def _build_pair(
     args: argparse.Namespace, degree: int | None = None, mono: bool = False
 ) -> PairInclusion:
@@ -81,6 +98,7 @@ def _build_pair(
     ambient = evaluate(parse_space(args.Y, catalog))
     if catalog is not None and degree is not None:
         for space in (sub, ambient):
+            _check_expansion(space.name, space.series.den.degree, degree)
             for q, b in enumerate(space.betti(degree)):
                 if b < 0:
                     raise ValueError(
@@ -94,6 +112,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     _check_limit("--degree", args.degree, MAX_DEGREE)
     pair = _build_pair(args, args.degree)
     series = formulas.loop_series(pair)
+    _check_expansion("the loop series", series.den.degree, args.degree)
     coeffs = list(series.expand(args.degree).coeffs)
     _check_printable(coeffs)
     num = list(series.num.coeffs) or [0]

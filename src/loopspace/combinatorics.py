@@ -8,14 +8,13 @@ two routes is the package's central self-check.
 
 The sum over all multiindexes of one dimension and length of the products
 of their Betti numbers is a coefficient of a power of the Betti series, so
-every term is read off one table of truncated products P_Y^i * P_A^j.  For
-a degree bound N the oracle builds that table once and makes O(N^4)
-integer operations in all.
+every term is read off truncated powers of P_Y and P_A.  To degree N the
+oracle regroups its sum into O(N^3) integer operations and O(N^2) memory.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import comb, factorial
 
 from .errors import HypothesisViolation, PathConnectednessViolation
 from .gfcore import IntPolynomial, RationalGF, TruncSeries
@@ -54,15 +53,6 @@ def binomial_gf_check(k: int, m: int, bound: int) -> bool:
     return direct == closed
 
 
-def _positive_betti(space: SpaceProfile, bound: int) -> list[tuple[int, int]]:
-    """(degree, Betti number) for the nonzero reduced Betti numbers in degrees 1..bound.
-
-    Multiindex entries are positive, so degree 0 never enters a product.
-    """
-    coeffs = space.betti(bound).coeffs
-    return [(d, coeffs[d]) for d in range(1, bound + 1) if coeffs[d] != 0]
-
-
 def _times(row: list[int], factor: list[tuple[int, int]], bound: int) -> list[int]:
     """The product of a truncated series and a sparse factor, truncated at bound."""
     out = [0] * (bound + 1)
@@ -75,60 +65,19 @@ def _times(row: list[int], factor: list[tuple[int, int]], bound: int) -> list[in
     return out
 
 
-def _powers(
-    row: list[int], factor: list[tuple[int, int]], count: int, bound: int
-) -> list[list[int]]:
-    """[row, row * F, ..., row * F^count] for the sparse factor F, truncated at bound."""
-    rows = [row]
+def _betti_powers(space: SpaceProfile, count: int, bound: int) -> list[list[int]]:
+    """[P^0, ..., P^count] truncated at bound, for P the Betti series without degree 0.
+
+    Multiindex entries are positive, so degree 0 never enters a product, and
+    [t^n] P^i sums the Betti products of all multiindexes over the space of
+    dimension i and total length n.
+    """
+    coeffs = space.betti(bound).coeffs
+    factor = [(d, coeffs[d]) for d in range(1, bound + 1) if coeffs[d] != 0]
+    rows = [[1] + [0] * bound]
     for _ in range(count):
         rows.append(_times(rows[-1], factor, bound))
     return rows
-
-
-def _power_table(pair: PairInclusion, bound: int, max_dim: int) -> list[list[list[int]]]:
-    """table[i][j][n] = [t^n] P_Y^i * P_A^j for i + j <= max_dim and n <= bound.
-
-    P_Y and P_A are the Betti series of the ambient space and the subspace
-    with degree 0 dropped, so table[i][j][n] sums the Betti products of all
-    multiindex pairs of dimensions (i, j) and total length n.  Column j = 0
-    holds the powers of P_Y; entry j of a column is entry j - 1 times P_A.
-    """
-    y = _positive_betti(pair.ambient, bound)
-    a = _positive_betti(pair.sub, bound)
-    one = [1] + [0] * bound
-    return [
-        _powers(y_power, a, max_dim - i, bound)
-        for i, y_power in enumerate(_powers(one, y, max_dim, bound))
-    ]
-
-
-def _pascal(n: int) -> list[list[int]]:
-    """pascal[m][k] = binom(m, k) for 0 <= m, k <= n (zero for k > m)."""
-    rows = [[1] + [0] * n]
-    for m in range(1, n + 1):
-        prev = rows[-1]
-        rows.append([1] + [prev[k - 1] + prev[k] for k in range(1, n + 1)])
-    return rows
-
-
-def _fat_diagonal(table: list[list[list[int]]], pascal: list[list[int]], s: int, q: int) -> int:
-    """The stage-s fat-diagonal sum in degree q, read off a power table.
-
-    Cells of dimensions (d_lam, d_mu) with d = d_lam + d_mu in 1..s-1 have
-    total length q - s + d + 1 and multiplicity
-    binom(d, d_mu) * binom(s - d - 1, d_mu - 1), which vanishes unless
-    1 <= d_mu <= s - d.  Needs s <= q + 1, so that the length is at least d
-    and the table reaches it.
-    """
-    total = 0
-    for d in range(1, s):
-        length = q - s + d + 1
-        choose_d, choose_rest = pascal[d], pascal[s - d - 1]
-        for d_mu in range(1, min(d, s - d) + 1):
-            weight = table[d - d_mu][d_mu][length]
-            if weight:
-                total += choose_d[d_mu] * choose_rest[d_mu - 1] * weight
-    return total
 
 
 def _check_stage(s: int, q: int) -> None:
@@ -160,8 +109,17 @@ def fat_diagonal_betti(pair: PairInclusion, s: int, q: int) -> int:
     _check_stage(s, q)
     if s > q + 1:
         return 0
-    table = _power_table(pair, q, s - 1)
-    return _fat_diagonal(table, _pascal(s - 1), s, q)
+    # Cells with d = dim lam + dim mu and j = dim mu have multiplicity
+    # binom(d, j) * binom(s - d - 1, j - 1), zero unless 1 <= j <= s - d.
+    y = _betti_powers(pair.ambient, s - 1, q)
+    a = _betti_powers(pair.sub, s // 2, q)
+    total = 0
+    for d in range(1, s):
+        n = q - s + d + 1
+        for j in range(1, min(d, s - d) + 1):
+            cells = sum(y[d - j][m] * a[j][n - m] for m in range(n + 1))
+            total += comb(d, j) * comb(s - d - 1, j - 1) * cells
+    return total
 
 
 def smash_power_betti(space: SpaceProfile, s: int, q: int) -> int:
@@ -177,8 +135,7 @@ def smash_power_betti(space: SpaceProfile, s: int, q: int) -> int:
     _check_stage(s, q)
     if s > q:
         return 0
-    one = [1] + [0] * q
-    return _powers(one, _positive_betti(space, q), s, q)[s][q]
+    return _betti_powers(space, s, q)[s][q]
 
 
 def smash_quotient_betti(pair: PairInclusion, s: int, q: int) -> int:
@@ -197,9 +154,13 @@ def loop_series_oracle(pair: PairInclusion, bound: int) -> TruncSeries:
 
     Degree q collects the smash quotients' Betti numbers over stages 1..q;
     higher stages contribute nothing (smash powers start in degree s, the
-    fat diagonal vanishes for s > q).  Degree 0 is 0.  One power table and
-    one Pascal table serve every stage and degree.  This never consults the
-    closed form, so it serves as an independent cross-check of it.
+    fat diagonal vanishes for s > q).  Degree 0 is 0.  This never consults
+    the closed form, so it serves as an independent cross-check of it.
+
+    The smash powers sum to sum_s P_Y^s.  The fat diagonals, one degree
+    down, regroup with k = s - d - 1 and j = dim mu into
+    sum_j sum_k binom(k, j - 1) t^(k+1) U_j, for
+    U_j = P_A^j * sum_i binom(i + j, j) P_Y^i; each j costs O(N^2).
     """
     if not pair.ambient.is_path_connected:
         raise PathConnectednessViolation(
@@ -213,14 +174,22 @@ def loop_series_oracle(pair: PairInclusion, bound: int) -> TruncSeries:
         )
     if bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {bound}")
-    table = _power_table(pair, bound, bound)
-    pascal = _pascal(bound)
-    coeffs = [0]
-    for q in range(1, bound + 1):
-        coeffs.append(
-            sum(
-                table[s][0][q] + _fat_diagonal(table, pascal, s, q - 1)
-                for s in range(1, q + 1)
-            )
-        )
+    y = _betti_powers(pair.ambient, bound, bound)
+    coeffs = [sum(power[q] for power in y[1:]) for q in range(bound + 1)]
+    a_powers = _betti_powers(pair.sub, bound // 2, bound)
+    for j in range(1, len(a_powers)):
+        # U_j is read up to degree top; once P_A^j starts above it, so does
+        # every higher power.
+        top = bound - j
+        a_terms = [(n, c) for n, c in enumerate(a_powers[j][: top + 1]) if c]
+        if not a_terms:
+            break
+        v = [0] * (top + 1)
+        for i, row in enumerate(y[: top + 1]):
+            weight = comb(i + j, j)
+            for n in range(i, top + 1):
+                v[n] += weight * row[n]
+        shifts = [(k + 1, comb(k, j - 1)) for k in range(j - 1, bound)]
+        for q, c in enumerate(_times(_times(v, a_terms, top), shifts, bound)):
+            coeffs[q] += c
     return TruncSeries(coeffs)

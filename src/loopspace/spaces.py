@@ -39,6 +39,12 @@ MAX_SERIES_DEGREE = 2 * MAX_DIMENSION
 #: to the remainder sequence (length 80 took 3.6 s, 96 took 8.2 s).
 MAX_CATALOG_LENGTH = 64
 
+#: Largest length times largest coefficient bit length of a catalog array.
+#: The heuristic gcd evaluates at a point about as large as the largest
+#: coefficient, so its cost follows that product.  Two random entries of 64
+#: coefficients of 301 digits take about 3.3 s through the command above.
+MAX_CATALOG_BITS = 64_000
+
 
 def _check_diagonal_null(name: str, diagonal_null: bool, constant: int) -> None:
     """Refuse a diagonal-null space whose series numerator is nonzero at t = 0.
@@ -65,7 +71,6 @@ class SpaceProfile:
     name: str
     series: RationalGF
     diagonal_null: bool = False
-    notes: str = ""
 
     def __post_init__(self):
         _check_diagonal_null(self.name, self.diagonal_null, self.series.num.constant)
@@ -206,17 +211,15 @@ class _Catalog(Mapping[str, SpaceProfile]):
     names its expressions use.
     """
 
-    def __init__(self, entries: dict[str, tuple[tuple[int, ...], tuple[int, ...], bool, str]]):
+    def __init__(self, entries: dict[str, tuple[tuple[int, ...], tuple[int, ...], bool]]):
         self._entries = entries
         self._built: dict[str, SpaceProfile] = {}
 
     def __getitem__(self, name: str) -> SpaceProfile:
         profile = self._built.get(name)
         if profile is None:
-            num, den, diag, notes = self._entries[name]
-            profile = SpaceProfile(
-                name, RationalGF.from_coeffs(num, den), diagonal_null=diag, notes=notes
-            )
+            num, den, diag = self._entries[name]
+            profile = SpaceProfile(name, RationalGF.from_coeffs(num, den), diagonal_null=diag)
             self._built[name] = profile
         return profile
 
@@ -234,16 +237,16 @@ def parse_catalog(data: object) -> Mapping[str, SpaceProfile]:
     """Build profiles from decoded catalog JSON (a list of objects).
 
     Each entry needs "name", integer coefficient arrays "numerator" and
-    "denominator" (ascending degree, at most MAX_CATALOG_LENGTH entries,
-    denominator nonzero at index 0), and a boolean "diagonal_null"; "notes"
-    is optional; a name must be one an expression can reach.  Every entry
-    is validated here; its series is built and reduced only when the entry
-    is looked up.
+    "denominator" (ascending degree, within MAX_CATALOG_LENGTH and
+    MAX_CATALOG_BITS, denominator nonzero at index 0), and a boolean
+    "diagonal_null"; other keys are ignored; a name must be one an
+    expression can reach.  Every entry is validated here; its series is
+    built and reduced only when the entry is looked up.
     """
     from .spaceexpr import is_catalog_name  # spaceexpr imports this module
     if not isinstance(data, list):
         raise ValueError("catalog must be a JSON array of space objects")
-    out: dict[str, tuple[tuple[int, ...], tuple[int, ...], bool, str]] = {}
+    out: dict[str, tuple[tuple[int, ...], tuple[int, ...], bool]] = {}
     for i, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise ValueError(f"catalog entry {i} is not an object")
@@ -270,6 +273,13 @@ def parse_catalog(data: object) -> Mapping[str, SpaceProfile]:
                     f"catalog entry {name!r}: {label} has {len(arr)} coefficients, "
                     f"more than the limit {MAX_CATALOG_LENGTH}"
                 )
+            bits = len(arr) * max((c.bit_length() for c in arr), default=0)
+            if bits > MAX_CATALOG_BITS:
+                raise ValueError(
+                    f"catalog entry {name!r}: {label} has {len(arr)} coefficients of up to "
+                    f"{bits // len(arr)} bits; length times that bit length is {bits}, "
+                    f"above the limit {MAX_CATALOG_BITS}"
+                )
         if not den or den[0] == 0:
             raise ValueError(
                 f"catalog entry {name!r}: denominator needs a nonzero entry at index 0"
@@ -279,7 +289,7 @@ def parse_catalog(data: object) -> Mapping[str, SpaceProfile]:
         if name in out:
             raise ValueError(f"catalog defines {name!r} twice")
         _check_diagonal_null(name, diag, num[0] if num else 0)
-        out[name] = (tuple(num), tuple(den), diag, str(entry.get("notes", "")))
+        out[name] = (tuple(num), tuple(den), diag)
     return _Catalog(out)
 
 

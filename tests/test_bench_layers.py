@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import loopspace
+import loopspace.cli  # noqa: F401  layer_table reads it; the package does not import it
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 

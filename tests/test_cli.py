@@ -326,6 +326,46 @@ def test_catalog_entry_above_the_length_limit_exits_2(capsys, tmp_path):
     )
 
 
+def test_catalog_entry_above_the_size_limit_exits_2(capsys, tmp_path):
+    # 7 coefficients, the largest of 9143 bits: 7 * 9143 is one above the limit
+    assert spaces.MAX_CATALOG_BITS + 1 == 7 * 9143
+    catalog = write_catalog(tmp_path, [0] * 6 + [2**9142])
+    argv = ["collapse", "--mono", "--A", "M", "--Y", "M v S^1", "--catalog", catalog]
+    assert run_cli(argv, capsys) == (
+        2,
+        "",
+        "error: catalog entry 'M': numerator has 7 coefficients of up to 9143 bits; "
+        f"length times that bit length is 64001, above the limit {spaces.MAX_CATALOG_BITS}\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, name, den_degree",
+    [
+        # the loop series of S^1 in RP^1000 has a denominator of degree 1001
+        (["compute", "--A", "S^1", "--Y", "RP^1000"], "the loop series", 1001),
+        # a catalog-built Y is expanded to check its signs: (1 - t^63)^9
+        (["compute", "--A", "pt", "--Y", " ^ ".join(["M"] * 9), "--catalog", "{catalog}"],
+         " ^ ".join(["M"] * 9), 567),
+    ],
+)
+def test_expansion_above_the_work_limit_exits_2_quickly(capsys, tmp_path, argv, name, den_degree):
+    path = tmp_path / "catalog.json"
+    entry = {"name": "M", "numerator": [0, 1], "denominator": [1] + [0] * 62 + [-1],
+             "diagonal_null": True}
+    path.write_text(json.dumps([entry]))
+    argv = [str(path) if a == "{catalog}" else a for a in argv]
+    largest = cli.MAX_EXPANSION_WORK // den_degree
+    start = time.perf_counter()
+    code, out, err = run_cli(argv + ["--degree", str(largest + 1)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: expanding {name}, whose ")
+    assert f"denominator has degree {den_degree}, to degree {largest + 1} is above" in err
+    assert err.endswith(f"lower --degree to {largest} or below\n")
+    assert err.count("\n") == 1
+
+
 def test_smash_above_the_degree_limit_exits_2_quickly(capsys):
     # twelve factors of degree 1000; the third passes the limit
     argv = ["compute", "--A", " ^ ".join(["RP^1000"] * 12), "--Y", "S^2", "--degree", "5"]

@@ -3,10 +3,11 @@
 ``delta_betti_direct`` below is the reference for the diagonal computation:
 it enumerates every multiindex pair with entries 1..q by raw cartesian
 product and checks the two defining constraints verbatim, with no power
-tables and no pruning.  The library's power-table sum must match
+tables and no pruning.  The library's sums of truncated powers must match
 it everywhere it is feasible to run.
 """
 
+import functools
 import itertools
 import math
 import time
@@ -289,6 +290,13 @@ def test_oracle_reaches_degree_100_on_the_projective_pair():
     assert elapsed < 10.0, f"oracle took {elapsed:.1f} s at degree 100"
 
 
+def test_oracle_agrees_with_closed_form_on_the_densest_pair_at_degree_200():
+    sub = functools.reduce(wedge, [sphere(1)] * 4 + [suspend(projective(math.inf))])
+    ambient = functools.reduce(wedge, [projective(math.inf)] * 3 + [suspend(projective(math.inf))])
+    pair = PairInclusion(sub=sub, ambient=ambient)
+    assert loop_series_oracle(pair, 200) == formulas.loop_series(pair).expand(200)
+
+
 ATOMS = st.one_of(
     st.integers(min_value=1, max_value=4).map(sphere),
     st.just(projective(1)),
@@ -316,3 +324,19 @@ SPACES = st.recursive(
 def test_oracle_matches_closed_form_on_random_pairs(sub, ambient, bound):
     pair = PairInclusion(sub=sub, ambient=ambient)
     assert loop_series_oracle(pair, bound) == formulas.loop_series(pair).expand(bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sub=SPACES.filter(lambda space: space.diagonal_null),
+    ambient=SPACES.filter(lambda space: space.is_path_connected),
+    bound=st.integers(min_value=0, max_value=10),
+)
+def test_oracle_is_the_sum_of_its_stage_readers(sub, ambient, bound):
+    # the oracle regroups the stages' sums; the readers keep them stage by stage
+    pair = PairInclusion(sub=sub, ambient=ambient)
+    expected = [0] + [
+        sum(smash_quotient_betti(pair, s, q) for s in range(1, q + 1))
+        for q in range(1, bound + 1)
+    ]
+    assert list(loop_series_oracle(pair, bound).coeffs) == expected

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from loopspace.errors import HypothesisViolation
 from loopspace.gfcore import IntPolynomial, RationalGF, T, TruncSeries
 from loopspace.spaces import (
+    MAX_CATALOG_BITS,
     MAX_CATALOG_LENGTH,
     MAX_DIMENSION,
     MAX_SERIES_DEGREE,
@@ -232,7 +233,6 @@ def test_parse_catalog_happy_path():
     assert set(cat) == {"M", "W"}
     assert cat["M"].series == RationalGF.from_coeffs([0, 1])
     assert cat["W"].diagonal_null
-    assert cat["W"].notes == "wedge"
 
 
 def test_parse_catalog_rejects_bad_shapes():
@@ -262,6 +262,21 @@ def test_parse_catalog_refuses_arrays_above_the_length_limit(label):
     parse_catalog([_entry(**{label[:3]: longest})])
     with pytest.raises(ValueError, match=f"{label} has {MAX_CATALOG_LENGTH + 1} coefficients"):
         parse_catalog([_entry(**{label[:3]: longest + [1]})])
+
+
+@pytest.mark.parametrize("label", ["numerator", "denominator"])
+def test_parse_catalog_refuses_arrays_above_the_size_limit(label):
+    # size is length times the largest coefficient's bit length, so one
+    # large coefficient in a long array counts as many
+    top = 2 ** (MAX_CATALOG_BITS // MAX_CATALOG_LENGTH - 1)
+    largest = [1] + [0] * (MAX_CATALOG_LENGTH - 2) + [top]
+    parse_catalog([_entry(**{label[:3]: largest})])
+    with pytest.raises(ValueError, match=f"{label} has {MAX_CATALOG_LENGTH} coefficients of up to"):
+        parse_catalog([_entry(**{label[:3]: largest[:-1] + [2 * top]})])
+    short = [1, 2 ** (MAX_CATALOG_BITS // 2 - 1)]
+    parse_catalog([_entry(**{label[:3]: short})])
+    with pytest.raises(ValueError, match=f"above the limit {MAX_CATALOG_BITS}"):
+        parse_catalog([_entry(**{label[:3]: short + [0]})])
 
 
 def test_parse_catalog_rejects_bool_coefficients():
