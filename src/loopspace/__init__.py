@@ -9,7 +9,6 @@ space profiles.
 """
 
 from .combinatorics import (
-    binom,
     binomial_gf_check,
     fat_diagonal_betti,
     loop_series_oracle,
@@ -68,7 +67,6 @@ __all__ = [
     "UnknownName",
     "ZERO",
     "ZeroDenominatorError",
-    "binom",
     "binomial_gf_check",
     "bott_samelson_series",
     "bousfield_curtis_series",

@@ -2,9 +2,10 @@
 
 The closed form in :mod:`loopspace.formulas` collapses a double sum over
 word-filtration stages and multiindex pairs.  This module keeps that sum
-un-collapsed: generalized binomials, Betti numbers of the fat diagonal
-inside each smash power, and the degree-by-degree total.  Agreement of the
-two routes is the package's central self-check.
+un-collapsed: Betti numbers of the fat diagonal inside each smash power,
+and the degree-by-degree total.  Agreement of the two routes is the
+package's central self-check.  Hypotheses and Betti signs are checked by
+the space profiles of :mod:`loopspace.spaces`.
 
 The sum over all multiindexes of one dimension and length of the products
 of their Betti numbers is a coefficient of a power of the Betti series, so
@@ -14,43 +15,22 @@ oracle regroups its sum into O(N^3) integer operations and O(N^2) memory.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb
 
-from .errors import HypothesisViolation, PathConnectednessViolation
 from .gfcore import IntPolynomial, RationalGF, TruncSeries
 from .spaces import PairInclusion, SpaceProfile
 
 
-def binom(n: int, k: int) -> int:
-    """Generalized binomial coefficient for arbitrary integer n.
+def binomial_gf_check(k: int, bound: int) -> bool:
+    """Check sum_n binom(n,k) t^n == t^k/(1-t)^(k+1) through t^bound, for k >= 0.
 
-    Zero for k < 0; otherwise n(n-1)...(n-k+1)/k!, which is exact for every
-    integer n (negative upper arguments included) and 1 at k = 0.
+    binom(n,k) vanishes for n < k, so the sum from any m <= k is this one.
+    The left side is summed with math.comb and the right side expanded as a
+    rational function, so the two routes are independent.
     """
-    if k < 0:
-        return 0
-    num = 1
-    for i in range(k):
-        num *= n - i
-    return num // factorial(k)
-
-
-def binomial_gf_check(k: int, m: int, bound: int) -> bool:
-    """Check sum_{n>=m} binom(n,k) t^n == t^k/(1-t)^(k+1) through t^bound.
-
-    Valid for 0 <= m <= k because binom(n,k) vanishes for 0 <= n < k.  The
-    left side is summed term by term from binom; the right side comes from
-    the rational-function expander, so the two routes are independent.
-    """
-    if not 0 <= m <= k:
-        raise ValueError(f"need 0 <= m <= k, got m={m}, k={k}")
-    direct = TruncSeries(
-        [binom(n, k) if n >= m else 0 for n in range(bound + 1)]
-    )
-    closed = RationalGF(
-        IntPolynomial.monomial(k), IntPolynomial((1, -1)) ** (k + 1)
-    ).expand(bound)
-    return direct == closed
+    direct = TruncSeries([comb(n, k) for n in range(bound + 1)])
+    closed = RationalGF(IntPolynomial.monomial(k), IntPolynomial((1, -1)) ** (k + 1))
+    return direct == closed.expand(bound)
 
 
 def _times(row: list[int], factor: list[tuple[int, int]], bound: int) -> list[int]:
@@ -101,11 +81,7 @@ def fat_diagonal_betti(pair: PairInclusion, s: int, q: int) -> int:
     Entries >= 1 force |lam|+|mu| >= dim lam + dim mu, so the sum is finite
     and vanishes whenever s > q + 1 (and always at s = 1).
     """
-    if not pair.sub.diagonal_null:
-        raise HypothesisViolation(
-            f"{pair.sub.name}: fat-diagonal Betti numbers need the subspace "
-            "declared diagonal-null"
-        )
+    pair.sub.require_diagonal_null("the fat diagonal")
     _check_stage(s, q)
     if s > q + 1:
         return 0
@@ -128,10 +104,7 @@ def smash_power_betti(space: SpaceProfile, s: int, q: int) -> int:
     The series of the power is the s-th power of the space's series; the
     space must be path-connected so the power has no terms below degree s.
     """
-    if not space.is_path_connected:
-        raise PathConnectednessViolation(
-            f"{space.name}: smash powers are taken of path-connected spaces only"
-        )
+    space.require_path_connected("a smash power")
     _check_stage(s, q)
     if s > q:
         return 0
@@ -162,16 +135,7 @@ def loop_series_oracle(pair: PairInclusion, bound: int) -> TruncSeries:
     sum_j sum_k binom(k, j - 1) t^(k+1) U_j, for
     U_j = P_A^j * sum_i binom(i + j, j) P_Y^i; each j costs O(N^2).
     """
-    if not pair.ambient.is_path_connected:
-        raise PathConnectednessViolation(
-            f"{pair.ambient.name}: the stage decomposition needs a path-connected "
-            "ambient space"
-        )
-    if not pair.sub.diagonal_null:
-        raise HypothesisViolation(
-            f"{pair.sub.name}: the stage decomposition needs the subspace "
-            "declared diagonal-null"
-        )
+    pair.require_hypotheses("the stage decomposition")
     if bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {bound}")
     y = _betti_powers(pair.ambient, bound, bound)

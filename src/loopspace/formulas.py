@@ -1,8 +1,10 @@
 """Closed forms for mod-2 loop-space Poincare series, with exact hypothesis gates.
 
-Every formula here is conditional on hypotheses about the input spaces;
-each gate raises with the name of the failed condition instead of emitting
-a plausible but wrong series.
+Every formula here is conditional on hypotheses about the input spaces.
+The path-connected and diagonal-null gates live on the profiles in
+:mod:`loopspace.spaces`; the simply-connected gates, which read a raw
+series, live here.  Each raises with the name of the failed condition
+instead of emitting a plausible but wrong series.
 
 Each series is built as one fraction of polynomials and reduced once, by
 the ``RationalGF`` constructor; partial sums such as N below are never
@@ -13,17 +15,9 @@ series P/(c - P), built by ``_tensor_series``.
 from __future__ import annotations
 
 from . import spaces
-from .errors import HypothesisViolation, PathConnectednessViolation
+from .errors import HypothesisViolation
 from .gfcore import ONE, IntPolynomial, RationalGF, T
 from .spaces import PairInclusion, SpaceProfile
-
-
-def _require_path_connected(space: SpaceProfile) -> None:
-    if not space.is_path_connected:
-        raise PathConnectednessViolation(
-            f"{space.name}: formula requires a path-connected space "
-            "(zero constant series coefficient)"
-        )
 
 
 def _series_starts_above_degree_one(series: RationalGF) -> bool:
@@ -46,7 +40,7 @@ def bott_samelson_series(y: SpaceProfile) -> RationalGF:
     The tensor algebra on the reduced homology of a path-connected space has
     exactly this Euler series, one tensor word per composition of the degree.
     """
-    _require_path_connected(y)
+    y.require_path_connected("the Bott-Samelson series")
     return _tensor_series(y.series.num, y.series.den, ONE.num)
 
 
@@ -63,10 +57,7 @@ def bousfield_curtis_series(x: SpaceProfile) -> RationalGF:
             f"{x.name}: formula requires a simply-connected space "
             "(series coefficients 0 in degrees 0 and 1)"
         )
-    if not x.diagonal_null:
-        raise HypothesisViolation(
-            f"{x.name}: formula requires the reduced diagonal declared null"
-        )
+    x.require_diagonal_null("the Bousfield-Curtis series")
     return _tensor_series(x.series.num, x.series.den, T.num)
 
 
@@ -79,12 +70,7 @@ def loop_series(pair: PairInclusion) -> RationalGF:
     A = Y gives P(A)/(1 - t - P(A)), Y contractible gives
     t P(A)/(1 - t - t P(A)).
     """
-    _require_path_connected(pair.ambient)
-    if not pair.sub.diagonal_null:
-        raise HypothesisViolation(
-            f"{pair.sub.name}: formula requires the subspace's reduced diagonal "
-            "declared null"
-        )
+    pair.require_hypotheses("the loop series")
     y, a = pair.ambient.series, pair.sub.series
     one_minus_t = IntPolynomial((1, -1))
     n = one_minus_t * y.num * a.den + T.num * a.num * y.den

@@ -32,6 +32,9 @@ from .spaces import SpaceProfile
 
 MAX_DEPTH = 100
 
+#: The grammar's words, which no catalog entry may be named.
+WORDS = ("S", "RP", "pt", "susp", "cone", "v", "inf")
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -212,5 +215,4 @@ def is_catalog_name(name: str) -> bool:
         first = _tokenize(name)[0]
     except ParseError:
         return False
-    words = ("S", "RP", "pt", "susp", "cone", "v", "inf")
-    return first.kind == "ident" and first.text == name and name not in words
+    return first.kind == "ident" and first.text == name and name not in WORDS

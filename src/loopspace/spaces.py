@@ -16,11 +16,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+import sys
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import HypothesisViolation
+from .errors import HypothesisViolation, PathConnectednessViolation
 from .gfcore import ZERO, IntPolynomial, RationalGF, T
 
 #: Largest finite sphere or projective dimension accepted.  It is checked
@@ -80,9 +82,31 @@ class SpaceProfile:
         """True when the reduced Betti number in degree 0 vanishes."""
         return self.series.num.constant == 0
 
+    def require_path_connected(self, purpose: str) -> None:
+        """Raise PathConnectednessViolation unless the space is path-connected."""
+        if not self.is_path_connected:
+            raise PathConnectednessViolation(
+                f"{self.name}: {purpose} needs a path-connected space "
+                "(zero constant series coefficient)"
+            )
+
+    def require_diagonal_null(self, purpose: str) -> None:
+        """Raise HypothesisViolation unless the reduced diagonal is declared null."""
+        if not self.diagonal_null:
+            raise HypothesisViolation(
+                f"{self.name}: {purpose} needs the reduced diagonal declared null"
+            )
+
     def betti(self, bound: int):
-        """Reduced Betti numbers b_0..b_bound as a truncated series."""
-        return self.series.expand(bound)
+        """Reduced Betti numbers b_0..b_bound as a truncated series, refused if one is negative."""
+        coeffs = self.series.expand(bound)
+        for q, b in enumerate(coeffs):
+            if b < 0:
+                raise ValueError(
+                    f"{self.name}: series coefficient {b} of t^{q} is negative, "
+                    "so it cannot hold Betti numbers"
+                )
+        return coeffs
 
 
 @dataclass(frozen=True)
@@ -96,6 +120,11 @@ class PairInclusion:
     sub: SpaceProfile
     ambient: SpaceProfile
     mono_in_homology: bool = False
+
+    def require_hypotheses(self, purpose: str) -> None:
+        """The loop-series hypotheses: ambient space path-connected, then subspace diagonal-null."""
+        self.ambient.require_path_connected(purpose)
+        self.sub.require_diagonal_null(purpose)
 
 
 def sphere(n: int) -> SpaceProfile:
@@ -152,7 +181,7 @@ def wedge(a: SpaceProfile, b: SpaceProfile) -> SpaceProfile:
     (xn, xd), (yn, yd) = ((p.series.num.degree, p.series.den.degree) for p in (a, b))
     _check_degree("wedge", a, b, max(xn + yd, yn + xd, xd + yd))
     return SpaceProfile(
-        f"{a.name} v {b.name}",
+        f"{a.name} v {_operand(b.name, 'v')}",
         a.series + b.series,
         diagonal_null=a.diagonal_null and b.diagonal_null,
     )
@@ -168,16 +197,22 @@ def smash(a: SpaceProfile, b: SpaceProfile) -> SpaceProfile:
     (xn, xd), (yn, yd) = ((p.series.num.degree, p.series.den.degree) for p in (a, b))
     _check_degree("smash", a, b, max(xn + yn, xd + yd))
     return SpaceProfile(
-        f"{_smash_operand(a.name)} ^ {_smash_operand(b.name)}",
+        f"{_operand(a.name, 'v')} ^ {_operand(b.name, 'v^')}",
         a.series * b.series,
         diagonal_null=a.diagonal_null or b.diagonal_null,
     )
 
 
-def _smash_operand(name: str) -> str:
-    """name, in parentheses when it names a wedge: ^ binds tighter than v."""
-    depths = accumulate(part.count("(") - part.count(")") for part in name.split(" v ")[:-1])
-    return f"({name})" if 0 in depths else name
+def _operand(name: str, operators: str) -> str:
+    """name, in parentheses when one of operators joins it outside parentheses.
+
+    Callers pass the operators that would regroup the operand (^ binds tighter
+    than v; both associate left), so a name is never deeper than its expression.
+    """
+    parts = re.split(r" ([v^]) ", name)
+    depths = accumulate(part.count("(") - part.count(")") for part in parts[::2])
+    outside = {op for depth, op in zip(depths, parts[1::2]) if depth == 0}
+    return f"({name})" if outside & set(operators) else name
 
 
 def suspend(a: SpaceProfile) -> SpaceProfile:
@@ -243,7 +278,7 @@ def parse_catalog(data: object) -> Mapping[str, SpaceProfile]:
     expression can reach.  Every entry is validated here; its series is
     built and reduced only when the entry is looked up.
     """
-    from .spaceexpr import is_catalog_name  # spaceexpr imports this module
+    from .spaceexpr import WORDS, is_catalog_name  # spaceexpr imports this module
     if not isinstance(data, list):
         raise ValueError("catalog must be a JSON array of space objects")
     out: dict[str, tuple[tuple[int, ...], tuple[int, ...], bool]] = {}
@@ -260,7 +295,7 @@ def parse_catalog(data: object) -> Mapping[str, SpaceProfile]:
         if not isinstance(name, str) or not is_catalog_name(name):
             raise ValueError(
                 f"catalog entry {i}: no expression can name {name!r}; a name must be "
-                "one identifier other than S, RP, pt, susp, cone, v and inf"
+                f"one identifier other than {', '.join(WORDS[:-1])} and {WORDS[-1]}"
             )
         for label, arr in (("numerator", num), ("denominator", den)):
             # bool subclasses int, so JSON true/false would pass as 1/0.
@@ -300,4 +335,11 @@ def load_catalog(path: str | os.PathLike) -> Mapping[str, SpaceProfile]:
             data = json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: catalog JSON is nested too deeply") from None
+        except ValueError as exc:
+            # int() refuses a too-long integer with a plain ValueError; JSON and
+            # UTF-8 decoding errors are subclasses and keep their messages.
+            if type(exc) is not ValueError:
+                raise
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"{path}: a catalog integer has over {limit} digits") from None
     return parse_catalog(data)

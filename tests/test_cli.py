@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -99,7 +100,7 @@ def test_refusal_names_the_space_that_failed(capsys):
     assert run_cli(argv, capsys) == (
         2,
         "",
-        "error: (RP^2 v S^1) ^ RP^2: formula requires the subspace's reduced "
+        "error: (RP^2 v S^1) ^ RP^2: the loop series needs the reduced "
         "diagonal declared null\n",
     )
 
@@ -187,11 +188,25 @@ def test_identity_all_pass(capsys):
     assert "all agree" in out
 
 
+@pytest.mark.parametrize("kmax", range(9))
+def test_identity_stdout(capsys, kmax):
+    code, out, err = run_cli(["identity", "--kmax", str(kmax), "--degree", "30"], capsys)
+    pairs = [1, 3, 6, 10, 15, 21, 28, 36, 45][kmax]
+    assert (code, out, err) == (
+        0, f"checked {pairs} binomial series pairs to degree 30: all agree\n", ""
+    )
+
+
 def test_identity_failure_path(capsys, monkeypatch):
-    monkeypatch.setattr(cli.combinatorics, "binomial_gf_check", lambda k, m, n: False)
-    code, out, _ = run_cli(["identity", "--kmax", "1", "--degree", "5"], capsys)
+    # one check per row k, and a failing row names each of its pairs (k, m)
+    calls = []
+    monkeypatch.setattr(
+        cli.combinatorics, "binomial_gf_check", lambda k, n: calls.append(k) or k != 2
+    )
+    code, out, _ = run_cli(["identity", "--kmax", "3", "--degree", "5"], capsys)
     assert code == 1
-    assert "mismatch: k=0 m=0" in out
+    assert calls == [0, 1, 2, 3]
+    assert out == "mismatch: k=2 m=0\nmismatch: k=2 m=1\nmismatch: k=2 m=2\n"
 
 
 def test_identity_rejects_negative_kmax(capsys):
@@ -296,9 +311,9 @@ def test_catalog_name_no_expression_can_reach_exits_2(capsys, tmp_path, name):
     )
 
 
-def write_catalog(tmp_path, numerator):
+def write_catalog(tmp_path, numerator, denominator=(1,)):
     path = tmp_path / "catalog.json"
-    entry = {"name": "M", "numerator": numerator, "denominator": [1], "diagonal_null": True}
+    entry = {"name": "M", "numerator": numerator, "denominator": denominator, "diagonal_null": True}
     path.write_text(json.dumps([entry]))
     return str(path)
 
@@ -460,6 +475,52 @@ def test_coefficient_too_long_to_print_exits_2(capsys, tmp_path, argv):
     assert sys.get_int_max_str_digits() == limit
 
 
+BIG = 10**4000 + 7  # 4001 digits: readable, but its square is too long to print
+
+
+@pytest.mark.parametrize(
+    "numerator, denominator, argv, row",
+    [
+        # M^M = t^4/(1 + BIG t)^2: the numerator [0,0,0,0,1] prints, the denominator cannot
+        ([0, 0, 1], [1, BIG], ["compute"], "the loop series denominator"),
+        # M^M = BIG^2 t^4/(1 - t)^2
+        ([0, 0, BIG], [1, -1], ["compute"], "the loop series numerator"),
+        ([0, 0, BIG], [1, -1], ["compute", "--format", "json"], "the loop series numerator"),
+        ([0, 0, BIG], [1, -1], ["collapse", "--mono"], "chi E1 denominator"),
+    ],
+)
+def test_polynomial_too_long_to_print_exits_2_before_any_output(
+    capsys, tmp_path, numerator, denominator, argv, row
+):
+    limit = sys.get_int_max_str_digits()
+    if not limit or limit > 8000:
+        pytest.skip("this interpreter prints these ints")
+    catalog = write_catalog(tmp_path, numerator, denominator)
+    argv = argv + ["--A", "pt", "--Y", "M^M", "--catalog", catalog]
+    if argv[0] == "compute":
+        argv += ["--degree", "0"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {row}: the coefficient of t^")
+    assert "lower --degree" not in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_catalog_integer_too_long_to_read_exits_2(capsys, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter reads ints of any length")
+    path = tmp_path / "catalog.json"
+    path.write_text(
+        '[{"name": "M", "numerator": [0, 1' + "0" * limit + '], '
+        '"denominator": [1], "diagonal_null": true}]'
+    )
+    argv = ["compute", "--A", "pt", "--Y", "M", "--catalog", str(path)]
+    assert run_cli(argv, capsys) == (
+        2, "", f"error: {path}: a catalog integer has over {limit} digits\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -480,6 +541,26 @@ def test_inputs_beyond_the_limits_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_readme_input_limits_match_the_constants():
+    # Each limit in the README's list is written as a number, perhaps a unit
+    # and a line break, then (`module.MAX_NAME`); every MAX_* of the three
+    # modules with limits must be listed.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\nInput limits", 1)[1].split("\n\n")[1]
+    cited = re.findall(r"`(\w+)\.(MAX_\w+)`", section)
+    numbered = re.findall(r"([\d,]+)(?: \w+)?\s+\(`(\w+)\.(MAX_\w+)`", section)
+    assert [(module, name) for _, module, name in numbered] == cited
+    for number, module, name in numbered:
+        assert int(number.replace(",", "")) == getattr(getattr(loopspace, module), name), name
+    constants = {
+        (module, name)
+        for module in ("cli", "spaces", "spaceexpr")
+        for name in vars(getattr(loopspace, module))
+        if name.startswith("MAX_")
+    }
+    assert constants == set(cited)
 
 
 def test_parser_is_built_once_and_reused(capsys):

@@ -19,7 +19,7 @@ from loopspace.spaces import (
     suspend,
     wedge,
 )
-from loopspace.spaceexpr import MAX_DEPTH, parse_space
+from loopspace.spaceexpr import MAX_DEPTH, _Parser, _tokenize, parse_space
 
 
 def test_parse_atoms():
@@ -173,20 +173,41 @@ def test_evaluate_named_needs_catalog():
 
 
 def test_format_inserts_parens_only_when_needed():
-    # a profile's name parenthesizes exactly the wedge operands of a smash
+    # a profile's name parenthesizes the wedge operands of a smash and the
+    # right operands that would otherwise regroup to the left
     assert parse_space("S^1 ^ (S^2 v S^3)").name == "S^1 ^ (S^2 v S^3)"
     assert parse_space("S^1 ^ S^2 v S^3").name == "S^1 ^ S^2 v S^3"
+    assert parse_space("S^1 v (S^2 ^ S^3)").name == "S^1 v S^2 ^ S^3"
     assert parse_space("(S^1 v S^2) v S^3").name == "S^1 v S^2 v S^3"
-    assert parse_space("S^1 ^ (S^2 ^ S^3)").name == "S^1 ^ S^2 ^ S^3"
-    assert parse_space("(S^1 v S^2) ^ (S^3 ^ (pt v pt))").name == "(S^1 v S^2) ^ S^3 ^ (pt v pt)"
+    assert parse_space("S^1 v (S^2 v S^3)").name == "S^1 v (S^2 v S^3)"
+    assert parse_space("(S^1 ^ S^2) ^ S^3").name == "S^1 ^ S^2 ^ S^3"
+    assert parse_space("S^1 ^ (S^2 ^ S^3)").name == "S^1 ^ (S^2 ^ S^3)"
+    assert parse_space("(S^1 v S^2) ^ (S^3 ^ (pt v pt))").name == (
+        "(S^1 v S^2) ^ (S^3 ^ (pt v pt))"
+    )
     assert parse_space("susp(S^1 v S^2) ^ cone(S^1 v S^1)").name == (
         "susp(S^1 v S^2) ^ cone(S^1 v S^1)"
     )
     # the same names when the profiles are built directly
     assert smash(wedge(sphere(1), sphere(2)), sphere(3)).name == "(S^1 v S^2) ^ S^3"
     assert smash(sphere(3), smash(wedge(sphere(1), sphere(2)), sphere(3))).name == (
-        "S^3 ^ (S^1 v S^2) ^ S^3"
+        "S^3 ^ ((S^1 v S^2) ^ S^3)"
     )
+
+
+def depth(text):
+    """The depth the parser counts for text (see spaceexpr.MAX_DEPTH)."""
+    return _Parser(_tokenize(text), CATALOG).parse_expr(0)[1]
+
+
+def test_name_of_a_deep_expression_reparses():
+    # two 60-term smash chains: a flattened name would be one 120-term chain,
+    # deeper than the limit, though the expression is not
+    chain = " ^ ".join(["S^1"] * 60)
+    space = parse_space(f"({chain}) ^ ({chain})")
+    assert space.name == f"{chain} ^ ({chain})"
+    assert depth(space.name) == depth(f"({chain}) ^ ({chain})") == 61
+    assert parse_space(space.name) == space
 
 
 CATALOG = parse_catalog(
@@ -207,6 +228,8 @@ EXPRESSIONS = st.recursive(
         st.builds("susp({})".format, inner),
         st.builds("cone({})".format, inner),
         st.builds("({})".format, inner),
+        st.builds("{} v ({} v {})".format, inner, inner, inner),
+        st.builds("{} ^ ({} ^ {})".format, inner, inner, inner),
     ),
     max_leaves=12,
 )
@@ -221,6 +244,8 @@ def test_roundtrip_random_trees(text):
     again = parse_space(space.name, CATALOG)
     assert again == space
     assert again.name == space.name
+    # the name drops only parentheses the grammar does not need
+    assert depth(space.name) <= depth(text)
 
 
 @settings(max_examples=300, deadline=None)

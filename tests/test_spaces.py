@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopspace.errors import HypothesisViolation
+from loopspace import combinatorics, formulas
+from loopspace.errors import HypothesisViolation, PathConnectednessViolation
 from loopspace.gfcore import IntPolynomial, RationalGF, T, TruncSeries
 from loopspace.spaces import (
     MAX_CATALOG_BITS,
@@ -149,6 +150,80 @@ def test_profile_is_path_connected():
     assert sphere(4).is_path_connected
     disconnected = SpaceProfile("two points", RationalGF.from_coeffs([1]))
     assert not disconnected.is_path_connected
+
+
+TWO_POINTS = SpaceProfile("two points", RationalGF.from_coeffs([1]))
+CONNECTED = "needs a path-connected space (zero constant series coefficient)"
+DIAGONAL = "needs the reduced diagonal declared null"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: formulas.loop_series(PairInclusion(sub=projective(2), ambient=TWO_POINTS)),
+            PathConnectednessViolation,
+            f"two points: the loop series {CONNECTED}",
+        ),
+        (
+            lambda: formulas.loop_series(PairInclusion(sub=projective(2), ambient=sphere(2))),
+            HypothesisViolation,
+            f"RP^2: the loop series {DIAGONAL}",
+        ),
+        (
+            lambda: formulas.bott_samelson_series(TWO_POINTS),
+            PathConnectednessViolation,
+            f"two points: the Bott-Samelson series {CONNECTED}",
+        ),
+        (
+            lambda: formulas.bousfield_curtis_series(smash(projective(2), projective(2))),
+            HypothesisViolation,
+            f"RP^2 ^ RP^2: the Bousfield-Curtis series {DIAGONAL}",
+        ),
+        (
+            lambda: combinatorics.loop_series_oracle(
+                PairInclusion(sub=projective(2), ambient=TWO_POINTS), 4
+            ),
+            PathConnectednessViolation,
+            f"two points: the stage decomposition {CONNECTED}",
+        ),
+        (
+            lambda: combinatorics.loop_series_oracle(
+                PairInclusion(sub=projective(2), ambient=sphere(2)), 4
+            ),
+            HypothesisViolation,
+            f"RP^2: the stage decomposition {DIAGONAL}",
+        ),
+        (
+            lambda: combinatorics.fat_diagonal_betti(
+                PairInclusion(sub=projective(2), ambient=sphere(2)), 2, 2
+            ),
+            HypothesisViolation,
+            f"RP^2: the fat diagonal {DIAGONAL}",
+        ),
+        (
+            lambda: combinatorics.smash_power_betti(TWO_POINTS, 2, 2),
+            PathConnectednessViolation,
+            f"two points: a smash power {CONNECTED}",
+        ),
+    ],
+)
+def test_gates_name_the_space_and_the_purpose(call, error, message):
+    # each gated function refuses through the profile's gate, so the class
+    # and wording are the same everywhere; the ambient space is checked first
+    with pytest.raises(HypothesisViolation) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_betti_refuses_a_negative_coefficient():
+    negative = SpaceProfile("N", RationalGF.from_coeffs([0, 1], [1, 1]))
+    assert list(negative.betti(0)) == [0]
+    assert list(negative.betti(1)) == [0, 1]
+    with pytest.raises(ValueError) as info:
+        negative.betti(2)
+    assert str(info.value) == "N: series coefficient -1 of t^2 is negative, so it cannot hold Betti numbers"
 
 
 def test_union_series_requires_mono_flag():
