@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from decimal import Decimal
 from typing import Sequence
 
 from . import combinatorics, formulas, spaces
@@ -39,29 +39,52 @@ MAX_DEGREE = 10_000
 MAX_VERIFY_DEGREE = 250
 
 #: Largest --degree times denominator degree accepted for an expansion,
-#: which costs that many multiply-adds on growing integers.  At this budget
-#: ``compute --A S^1 --Y RP^499 --degree 10000`` takes about 3 s, and
-#: ``--Y "RP^1000 ^ RP^1000" --degree 2498`` about 0.9 s.
+#: which costs at most that many multiply-adds on growing integers, one per
+#: nonzero denominator coefficient and degree.  At this budget, whole
+#: commands in process on one CPU: ``compute --A S^1 --Y RP^499 --degree
+#: 10000`` takes about 0.1 s, ``--Y "RP^1000 ^ RP^1000" --degree 2498`` about
+#: 0.4 s, and the densest tried, ``--Y "RP^300 ^ RP^300 ^ RP^300" --degree
+#: 5500``, whose denominator has 901 nonzero coefficients, about 1.6 s.
 MAX_EXPANSION_WORK = 5_000_000
 
 #: Largest --kmax accepted.  identity checks each k once, expanded to
 #: --degree; at kmax 48 and degree 10000 that takes about 2.5 s.
 MAX_KMAX = 48
 
-#: pow(10, n), built once per n: the least integer too long to print at a limit of n digits.
-_power_of_ten = functools.cache(functools.partial(pow, 10))
+
+@functools.cache
+def _printable_range(limit: int, kind: type) -> tuple[int, int] | tuple[Decimal, Decimal]:
+    """(-b, b) for b = 10^limit, the least value too long to print, as an int or a Decimal.
+
+    A row is compared with the bound of its own type: comparing a Decimal
+    with an int converts the int, in time quadratic in its length.
+    """
+    if kind is Decimal:
+        return Decimal(f"-1e{limit}"), Decimal(f"1e{limit}")
+    bound = 10**limit
+    return -bound, bound
 
 
-def _fmt_list(values: Sequence[int]) -> str:
-    return "[" + ",".join(str(v) for v in values) + "]"
+def _fmt_list(values: Sequence[int] | Sequence[Decimal], sep: str = ",") -> str:
+    return "[" + sep.join(map(str, values)) + "]"
 
 
-def _check_printable(*rows: Sequence[int], name: str | None = None) -> None:
-    """Refuse the first coefficient too long for str(): a named polynomial's, or an expansion's."""
+def _check_printable(*rows: Sequence[int] | Sequence[Decimal], name: str | None = None) -> None:
+    """Refuse the first coefficient too long for str(): a named polynomial's, or an expansion's.
+
+    Decimals, whose str() has no digit limit, are held to the int limit.
+    """
     limit = sys.get_int_max_str_digits()
-    too_long = _power_of_ten(limit)
-    if limit and any(max(map(abs, r)) >= too_long for r in rows):
-        q = min(i for r in rows for i, c in enumerate(r) if abs(c) >= too_long)
+    if not limit:
+        return
+    firsts = []
+    for r in rows:
+        low, high = _printable_range(limit, type(r[0]))
+        if low < min(r) and max(r) < high:
+            continue
+        firsts.append(next(i for i, c in enumerate(r) if not low < c < high))
+    if firsts:
+        q = min(firsts)
         message = f"the coefficient of t^{q} has more than {limit} digits, too long to print"
         if name is None:
             raise ValueError(f"{message}; lower --degree below {q}")
@@ -110,24 +133,21 @@ def cmd_compute(args: argparse.Namespace) -> int:
     _check_printable(num, name="the loop series numerator")
     _check_printable(den, name="the loop series denominator")
     _check_expansion("the loop series", series.den.degree, args.degree)
-    coeffs = list(series.expand(args.degree).coeffs)
+    coeffs = series.expand_for_str(args.degree)
     _check_printable(coeffs)
     if args.format == "plain":
-        print(f"num: {_fmt_list(num)}")
-        print(f"den: {_fmt_list(den)}")
-        print(f"coeffs: {_fmt_list(coeffs)}")
+        text = f"num: {_fmt_list(num)}\nden: {_fmt_list(den)}\ncoeffs: {_fmt_list(coeffs)}\n"
     elif args.format == "json":
-        payload = {
-            "numerator": num,
-            "denominator": den,
-            "coefficients": coeffs,
-            "degree": args.degree,
-        }
-        print(json.dumps(payload))
+        # json.dumps prints no Decimal; this is its text for the same ints.
+        text = (
+            f'{{"numerator": {_fmt_list(num, ", ")}, "denominator": {_fmt_list(den, ", ")}, '
+            f'"coefficients": {_fmt_list(coeffs, ", ")}, "degree": {args.degree}}}\n'
+        )
     else:
-        print("degree,coefficient")
-        for q, c in enumerate(coeffs):
-            print(f"{q},{c}")
+        text = "degree,coefficient\n" + "".join(
+            [f"{q},{c}\n" for q, c in enumerate(map(str, coeffs))]
+        )
+    sys.stdout.write(text)
     return 0
 
 
@@ -135,6 +155,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _check_limit("--degree", args.degree, MAX_VERIFY_DEGREE)
     pair = _build_pair(args, args.degree)
     closed = list(formulas.loop_series(pair).expand(args.degree).coeffs)
+    # When the routes agree the oracle prints these numbers too, so a
+    # closed form too long to print is refused before the oracle runs.
+    _check_printable(closed)
     oracle = list(combinatorics.loop_series_oracle(pair, args.degree).coeffs)
     diff = [c - o for c, o in zip(closed, oracle)]
     _check_printable(closed, oracle, diff)

@@ -298,17 +298,21 @@ def parse_catalog(data: object) -> Mapping[str, SpaceProfile]:
                 f"one identifier other than {', '.join(WORDS[:-1])} and {WORDS[-1]}"
             )
         for label, arr in (("numerator", num), ("denominator", den)):
-            # bool subclasses int, so JSON true/false would pass as 1/0.
-            if not isinstance(arr, list) or not all(
-                isinstance(c, int) and not isinstance(c, bool) for c in arr
-            ):
+            if not isinstance(arr, list):
                 raise ValueError(f"catalog entry {name!r}: {label} must be a list of integers")
+            widest = 0
+            for c in arr:
+                # bool subclasses int, so JSON true/false would pass as 1/0.
+                if type(c) is not int and (isinstance(c, bool) or not isinstance(c, int)):
+                    raise ValueError(f"catalog entry {name!r}: {label} must be a list of integers")
+                if c.bit_length() > widest:
+                    widest = c.bit_length()
             if len(arr) > MAX_CATALOG_LENGTH:
                 raise ValueError(
                     f"catalog entry {name!r}: {label} has {len(arr)} coefficients, "
                     f"more than the limit {MAX_CATALOG_LENGTH}"
                 )
-            bits = len(arr) * max((c.bit_length() for c in arr), default=0)
+            bits = len(arr) * widest
             if bits > MAX_CATALOG_BITS:
                 raise ValueError(
                     f"catalog entry {name!r}: {label} has {len(arr)} coefficients of up to "

@@ -15,12 +15,14 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import loopspace
-from loopspace import cli, spaces
+from loopspace import cli, formulas, gfcore, spaces
+from loopspace.errors import LoopspaceError
 from loopspace.gfcore import RationalGF, TruncSeries
+from loopspace.spaceexpr import parse_space
 
 
 def run_cli(args, capsys):
@@ -64,6 +66,46 @@ def test_compute_csv_output(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["degree,coefficient", "0,0", "1,0", "2,2", "3,1"]
+
+
+BUILT_IN = st.recursive(
+    st.sampled_from(["S^1", "S^2", "S^3", "RP^1", "RP^2", "RP^3", "RP^inf", "pt"]),
+    lambda inner: st.one_of(
+        st.builds("({} v {})".format, inner, inner),
+        st.builds("({} ^ {})".format, inner, inner),
+        st.builds("susp({})".format, inner),
+        st.builds("cone({})".format, inner),
+    ),
+    max_leaves=4,
+)
+
+
+@pytest.mark.parametrize("per_step", [0, 10**9], ids=["decimal", "int"])
+@settings(max_examples=60, deadline=None)
+@given(a=BUILT_IN, y=BUILT_IN, degree=st.integers(0, 320))
+def test_compute_prints_what_str_and_json_dumps_print_for_the_expansion(per_step, a, y, degree):
+    try:
+        series = formulas.loop_series(spaces.PairInclusion(sub=parse_space(a), ambient=parse_space(y)))
+    except LoopspaceError:
+        assume(False)
+    num = list(series.num.coeffs) or [0]
+    den = list(series.den.coeffs)
+    coeffs = list(series.expand(degree).coeffs)
+    expected = {
+        "plain": f"num: {num}\nden: {den}\ncoeffs: {coeffs}\n".replace(", ", ","),
+        "json": json.dumps(
+            {"numerator": num, "denominator": den, "coefficients": coeffs, "degree": degree}
+        ) + "\n",
+        "csv": "degree,coefficient\n" + "".join(f"{q},{c}\n" for q, c in enumerate(coeffs)),
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gfcore, "_DECIMAL_DEGREES_PER_STEP", per_step)
+        for fmt, text in expected.items():
+            out, err = io.StringIO(), io.StringIO()
+            argv = ["compute", "--A", a, "--Y", y, "--degree", str(degree), "--format", fmt]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert (code, err.getvalue(), out.getvalue()) == (0, "", text)
 
 
 def test_compute_defaults_to_degree_20(capsys):
@@ -381,6 +423,24 @@ def test_expansion_above_the_work_limit_exits_2_quickly(capsys, tmp_path, argv, 
     assert err.count("\n") == 1
 
 
+def test_closed_form_too_long_to_print_exits_2_before_the_oracle_runs(capsys, tmp_path):
+    # With M = 10^300 t, the loop series of (M, M v RP^inf) passes the print
+    # limit at t^15 under the default limit; the oracle would take over a
+    # minute to get there at the largest verify degree.
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter prints ints of any length")
+    catalog = write_catalog(tmp_path, [0, 10**300])
+    argv = ["--A", "M", "--Y", "M v RP^inf", "--degree", str(cli.MAX_VERIFY_DEGREE), "--catalog", catalog]
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify"] + argv, capsys)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    # compute names the same degree, which is t^15 under the default limit
+    assert run_cli(["compute"] + argv, capsys) == (2, "", err)
+    assert err.endswith("; lower --degree below 15\n") or limit != 4300
+
+
 def test_smash_above_the_degree_limit_exits_2_quickly(capsys):
     # twelve factors of degree 1000; the third passes the limit
     argv = ["compute", "--A", " ^ ".join(["RP^1000"] * 12), "--Y", "S^2", "--degree", "5"]
@@ -473,6 +533,34 @@ def test_coefficient_too_long_to_print_exits_2(capsys, tmp_path, argv):
     assert f"coefficient of t^{first} " in err and "lower --degree" in err
     assert "set_int_max_str_digits" not in err
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("per_step", [0, 10**9], ids=["decimal", "int"])
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_print_limit_boundary_is_the_same_for_both_number_types(capsys, tmp_path, fmt, per_step):
+    # M = a t + b t^2 with a = 10^320 - 1, so the loop series P/(1 - P) has
+    # a^2 + b at t^2: 10^640 - 1 (640 digits) for the first b, 10^640 for the next
+    old_limit = sys.get_int_max_str_digits()
+    a = 10**320 - 1
+    try:
+        sys.set_int_max_str_digits(640)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gfcore, "_DECIMAL_DEGREES_PER_STEP", per_step)
+            results = []
+            for b in (2 * 10**320 - 2, 2 * 10**320 - 1):
+                catalog = write_catalog(tmp_path, [0, a, b])
+                argv = ["compute", "--A", "pt", "--Y", "M", "--degree", "2", "--format", fmt,
+                        "--catalog", catalog]
+                results.append(run_cli(argv, capsys))
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+    (code, out, err), refused = results
+    assert (code, err) == (0, "")
+    assert str(10**640 - 1) in out
+    assert refused == (
+        2, "", "error: the coefficient of t^2 has more than 640 digits, too long to print; "
+        "lower --degree below 2\n",
+    )
 
 
 BIG = 10**4000 + 7  # 4001 digits: readable, but its square is too long to print

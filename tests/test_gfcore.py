@@ -7,13 +7,14 @@ over Fraction and sympy's ``cancel``, and arithmetic by termwise Fraction
 series.
 """
 
+import decimal
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopspace import gfcore
@@ -551,6 +552,59 @@ def test_randomized_expansion_multiplies_back():
         num = [rng.randint(-4, 4) for _ in range(rng.randint(1, 5))]
         den = [rng.choice([-1, 1])] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 4))]
         assert_expansion_consistent(RationalGF.from_coeffs(num, den), 15)
+
+
+def _expansion_text(run):
+    """The coefficients run() returns and their str(), or [] and the message it raised."""
+    try:
+        values = run()
+    except NonIntegerSeriesError as exc:
+        return [], str(exc)
+    return values, [str(c) for c in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num=st.lists(st.integers(-40, 40) | st.just(0), max_size=6),
+    den=st.tuples(st.sampled_from([1, 1, 2, 3]), st.lists(st.integers(-4, 4), max_size=6)),
+    bound=st.integers(0, 40),
+)
+# 1/(1 - t) + t^5/2: integer coefficients up to t^4, over den(0) = 2
+@example(num=[2, 0, 0, 0, 0, 1, -1], den=(2, [-2]), bound=8)
+def test_int_and_decimal_runs_of_the_recurrence_agree(num, den, bound):
+    # Negative taps and coefficients, den(0) > 1 (which usually ends in a
+    # non-integer coefficient) and zero numerators, against the Fraction
+    # expansion.  The caller's context rounds to 3 digits with no traps;
+    # the Decimal run must not use it.
+    r = RationalGF.from_coeffs(num, [den[0], *den[1]])
+    exact = frac_series(r.num.coeffs, r.den.coeffs, bound)
+    first = next((q for q, c in enumerate(exact) if c.denominator != 1), None)
+    expected = (
+        [str(c.numerator) for c in exact] if first is None
+        else f"coefficient of t^{first} is not an integer"
+    )
+    assert _expansion_text(lambda: r.expand(bound).coeffs)[1] == expected
+    with pytest.MonkeyPatch.context() as mp, decimal.localcontext(
+        decimal.Context(prec=3, traps=[])
+    ) as caller:
+        mp.setattr(gfcore, "_DECIMAL_DEGREES_PER_STEP", 0)
+        decimals, got = _expansion_text(lambda: r.expand_for_str(bound))
+        assert decimal.getcontext() is caller
+        assert caller.prec == 3 and caller.rounding == decimal.ROUND_HALF_EVEN
+        assert not any(caller.flags.values()) and not any(caller.traps.values())
+    assert all(type(c) is decimal.Decimal for c in decimals)
+    assert got == expected
+    assert "-0" not in got
+
+
+def test_expand_for_str_keeps_short_expansions_in_ints():
+    # two nonzero taps: Decimals from bound 2 * _DECIMAL_DEGREES_PER_STEP
+    r = RationalGF.from_coeffs([0, 1], [1, -2])
+    first = 2 * gfcore._DECIMAL_DEGREES_PER_STEP
+    assert r.expand_for_str(first - 1) == r.expand(first - 1).coeffs
+    decimals = r.expand_for_str(first)
+    assert all(type(c) is decimal.Decimal for c in decimals)
+    assert [str(c) for c in decimals] == [str(c) for c in r.expand(first)]
 
 
 def test_str_forms():

@@ -363,6 +363,25 @@ def test_parse_catalog_rejects_bool_coefficients():
 
 
 @pytest.mark.parametrize(
+    "num, den, message",
+    [
+        # a wrong type anywhere in an array, before its length
+        ([0] * MAX_CATALOG_LENGTH + [True], [1], "numerator must be a list of integers"),
+        ([True] + [0] * MAX_CATALOG_LENGTH, [1], "numerator must be a list of integers"),
+        ([0, 1], [1] * MAX_CATALOG_LENGTH + [1.0], "denominator must be a list of integers"),
+        # length before size
+        ([2**MAX_CATALOG_BITS] + [0] * MAX_CATALOG_LENGTH, [1],
+         f"numerator has {MAX_CATALOG_LENGTH + 1} coefficients, more than"),
+        # the numerator before the denominator
+        ([0, 2**MAX_CATALOG_BITS], [None], "numerator has 2 coefficients of up to"),
+    ],
+)
+def test_parse_catalog_refusals_keep_their_order(num, den, message):
+    with pytest.raises(ValueError, match=re.escape(f"catalog entry 'M': {message}")):
+        parse_catalog([_entry(num=num, den=den)])
+
+
+@pytest.mark.parametrize(
     "name",
     ["S", "RP", "pt", "susp", "cone", "v", "inf", "a b", "S^2", "1a", "a-b", "x(y)", " a", "a "],
 )
