@@ -13,7 +13,6 @@ from .combinatorics import (
     fat_diagonal_betti,
     loop_series_oracle,
     smash_power_betti,
-    smash_quotient_betti,
 )
 from .errors import (
     HypothesisViolation,
@@ -85,7 +84,6 @@ __all__ = [
     "projective",
     "smash",
     "smash_power_betti",
-    "smash_quotient_betti",
     "sphere",
     "suspend",
     "union_series",

@@ -160,7 +160,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _check_printable(closed)
     oracle = list(combinatorics.loop_series_oracle(pair, args.degree).coeffs)
     diff = [c - o for c, o in zip(closed, oracle)]
-    _check_printable(closed, oracle, diff)
+    _check_printable(oracle, diff)
     print(f"closed form: {_fmt_list(closed)}")
     print(f"oracle:      {_fmt_list(oracle)}")
     print(f"diff:        {_fmt_list(diff)}")

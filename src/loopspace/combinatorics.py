@@ -111,22 +111,14 @@ def smash_power_betti(space: SpaceProfile, s: int, q: int) -> int:
     return _betti_powers(space, s, q)[s][q]
 
 
-def smash_quotient_betti(pair: PairInclusion, s: int, q: int) -> int:
-    """Betti number of the smash power with its fat diagonal collapsed.
-
-    The cofiber sequence of the fat-diagonal inclusion splits under the
-    diagonal-null hypothesis, so the quotient's Betti number is the smash
-    power's plus the diagonal's one degree down.
-    """
-    below = fat_diagonal_betti(pair, s, q - 1) if q >= 1 else 0
-    return smash_power_betti(pair.ambient, s, q) + below
-
-
 def loop_series_oracle(pair: PairInclusion, bound: int) -> TruncSeries:
     """Loop-space Betti numbers by direct summation over filtration stages.
 
-    Degree q collects the smash quotients' Betti numbers over stages 1..q;
-    higher stages contribute nothing (smash powers start in degree s, the
+    Degree q collects, over stages s = 1..q, the Betti number of the s-fold
+    smash power with its fat diagonal collapsed.  Under the diagonal-null
+    hypothesis the cofiber sequence splits, so that is the smash power's
+    Betti number in degree q plus the fat diagonal's in degree q - 1.
+    Higher stages contribute nothing (smash powers start in degree s, the
     fat diagonal vanishes for s > q).  Degree 0 is 0.  This never consults
     the closed form, so it serves as an independent cross-check of it.
 

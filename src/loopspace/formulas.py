@@ -20,9 +20,14 @@ from .gfcore import ONE, IntPolynomial, RationalGF, T
 from .spaces import PairInclusion, SpaceProfile
 
 
-def _series_starts_above_degree_one(series: RationalGF) -> bool:
+def _require_simply_connected(name: str, series: RationalGF, purpose: str) -> None:
+    """Raise HypothesisViolation unless the series vanishes in degrees 0 and 1."""
     # a_0 = num(0)/den(0) and, once a_0 = 0, a_1 = num[1]/den(0).
-    return series.num.constant == 0 and series.num[1] == 0
+    if series.num.constant != 0 or series.num[1] != 0:
+        raise HypothesisViolation(
+            f"{name}: {purpose} needs a simply-connected space "
+            "(series coefficients 0 in degrees 0 and 1)"
+        )
 
 
 def _tensor_series(n: IntPolynomial, d: IntPolynomial, c: IntPolynomial) -> RationalGF:
@@ -52,11 +57,7 @@ def bousfield_curtis_series(x: SpaceProfile) -> RationalGF:
     checked (degrees 0 and 1 of the series must vanish; the diagonal-null
     flag must be declared).
     """
-    if not _series_starts_above_degree_one(x.series):
-        raise HypothesisViolation(
-            f"{x.name}: formula requires a simply-connected space "
-            "(series coefficients 0 in degrees 0 and 1)"
-        )
+    _require_simply_connected(x.name, x.series, "the Bousfield-Curtis series")
     x.require_diagonal_null("the Bousfield-Curtis series")
     return _tensor_series(x.series.num, x.series.den, T.num)
 
@@ -83,14 +84,10 @@ def euler_series_e1(space_series: RationalGF) -> RationalGF:
     The first term is the tensor algebra on the desuspended reduced homology
     of the space, so its Euler series is geometric in t^{-1} P.  Takes a raw
     series (not a profile) so series-only spaces such as the glued union can
-    be fed directly; the series must vanish in degrees 0 and 1 for the
-    desuspension to stay in nonnegative degrees.
+    be fed directly; the series, which a refusal calls P, must vanish in
+    degrees 0 and 1 for the desuspension to stay in nonnegative degrees.
     """
-    if not _series_starts_above_degree_one(space_series):
-        raise HypothesisViolation(
-            "Euler series of the first term needs a simply-connected space "
-            "(series coefficients 0 in degrees 0 and 1)"
-        )
+    _require_simply_connected("P", space_series, "the first term's Euler series")
     # t/(t - n/d) as the one fraction t*d/(t*d - n).
     td = T.num * space_series.den
     return RationalGF(td, td - space_series.num)
@@ -113,7 +110,10 @@ def collapse_series(pair: PairInclusion) -> tuple[RationalGF, RationalGF]:
     path-connected and the subspace diagonal-null.  Under those hypotheses
     the two rational functions agree identically; unequal results mean the
     implementation, not the mathematics, is broken.
+
+    The hypotheses are checked in that order, so a pair that fails the loop
+    series' gates is refused as ``loop_series`` refuses it.
     """
-    e1 = euler_series_e1(spaces.union_series(pair))
-    einf = euler_series_einf(loop_series(pair))
-    return e1, einf
+    union = spaces.union_series(pair)
+    loop = loop_series(pair)
+    return euler_series_e1(union), euler_series_einf(loop)

@@ -20,6 +20,7 @@ remainder sequence, pure Python and much slower, computes the same gcd.
 from __future__ import annotations
 
 import decimal
+import operator
 from decimal import Decimal
 from math import gcd as _int_gcd
 from math import isqrt
@@ -35,25 +36,28 @@ from .errors import (
 class IntPolynomial:
     """Immutable integer polynomial in one indeterminate t.
 
-    Coefficients are stored ascending by degree with no trailing zeros; the
-    zero polynomial stores the empty tuple.  ``p[i]`` reads the coefficient
-    of t^i and is 0 beyond the degree.
+    Coefficients are ints, refused with TypeError otherwise, and are stored
+    ascending by degree with no trailing zeros; the zero polynomial stores
+    the empty tuple.  ``p[i]`` reads the coefficient of t^i and is 0 beyond
+    the degree.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
+        # operator.index refuses floats, strings, Decimals and Fractions
+        # instead of truncating or parsing them; bools count as 0 and 1.
+        cs = list(map(operator.index, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs: tuple[int, ...] = tuple(cs)
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> IntPolynomial:
-        """Return coeff * t^degree."""
+    def monomial(cls, degree: int) -> IntPolynomial:
+        """Return t^degree."""
         if degree < 0:
             raise ValueError("monomial degree must be nonnegative")
-        return cls([0] * degree + [coeff])
+        return cls([0] * degree + [1])
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -433,8 +437,8 @@ class RationalGF:
     fixes the sign so the denominator is positive at t = 0.  A zero
     numerator gets denominator 1.  One rational function therefore has one
     representation, ``==`` compares numerator and denominator componentwise,
-    and values hash.  Values are immutable.  The arithmetic operators take
-    RationalGF operands only.
+    and values hash.  Values are immutable.  The two arithmetic operators,
+    ``+`` and ``*``, take RationalGF operands only.
     """
 
     __slots__ = ("_num", "_den")
@@ -499,21 +503,10 @@ class RationalGF:
         num = self._num * other._den + other._num * self._den
         return RationalGF(num, self._den * other._den)
 
-    def __sub__(self, other: RationalGF) -> RationalGF:
-        if not isinstance(other, RationalGF):
-            return NotImplemented
-        num = self._num * other._den - other._num * self._den
-        return RationalGF(num, self._den * other._den)
-
     def __mul__(self, other: RationalGF) -> RationalGF:
         if not isinstance(other, RationalGF):
             return NotImplemented
         return RationalGF(self._num * other._num, self._den * other._den)
-
-    def __truediv__(self, other: RationalGF) -> RationalGF:
-        if not isinstance(other, RationalGF):
-            return NotImplemented
-        return RationalGF(self._num * other._den, self._den * other._num)
 
     def expand(self, bound: int) -> TruncSeries:
         """Power-series coefficients a_0..a_bound, exactly.

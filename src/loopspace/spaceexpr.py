@@ -170,14 +170,13 @@ class _Parser:
             return spaces.point()
         if tok.text == "S" and self.peek().kind == "caret":
             self.advance()
-            dim_tok = self.expect("int", ("sphere dimension",))
-            return spaces.sphere(int(dim_tok.text))
+            return spaces.sphere(_dimension(self.expect("int", ("sphere dimension",)), "sphere"))
         if tok.text == "RP" and self.peek().kind == "caret":
             self.advance()
             nxt = self.peek()
             if nxt.kind == "int":
                 self.advance()
-                return spaces.projective(int(nxt.text))
+                return spaces.projective(_dimension(nxt, "projective"))
             if nxt.kind == "ident" and nxt.text == "inf":
                 self.advance()
                 return spaces.projective(math.inf)
@@ -185,6 +184,18 @@ class _Parser:
         if self.catalog is None or tok.text not in self.catalog:
             raise UnknownName(tok.text)
         return self.catalog[tok.text]
+
+
+def _dimension(tok: _Token, space: str) -> int:
+    """The value of a dimension literal, refused by its digit count when it cannot be in range.
+
+    int() of a literal longer than Python's int-to-str limit would fail with
+    a message about the interpreter, and the refusal would echo every digit.
+    """
+    digits = tok.text.lstrip("0")
+    if len(digits) > len(str(spaces.MAX_DIMENSION)):
+        raise spaces.dimension_refusal(space, f"a {len(digits)}-digit number")
+    return int(digits or "0")
 
 
 def parse_space(text: str, catalog: Mapping[str, SpaceProfile] | None = None) -> SpaceProfile:

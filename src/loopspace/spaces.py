@@ -77,14 +77,9 @@ class SpaceProfile:
     def __post_init__(self):
         _check_diagonal_null(self.name, self.diagonal_null, self.series.num.constant)
 
-    @property
-    def is_path_connected(self) -> bool:
-        """True when the reduced Betti number in degree 0 vanishes."""
-        return self.series.num.constant == 0
-
     def require_path_connected(self, purpose: str) -> None:
-        """Raise PathConnectednessViolation unless the space is path-connected."""
-        if not self.is_path_connected:
+        """Raise PathConnectednessViolation unless the reduced Betti number in degree 0 vanishes."""
+        if self.series.num.constant != 0:
             raise PathConnectednessViolation(
                 f"{self.name}: {purpose} needs a path-connected space "
                 "(zero constant series coefficient)"
@@ -127,10 +122,18 @@ class PairInclusion:
         self.sub.require_diagonal_null(purpose)
 
 
+def dimension_refusal(space: str, got: object) -> ValueError:
+    """The error for a "sphere" or "projective" dimension out of range; got shows the input."""
+    allowed = f"between 1 and {MAX_DIMENSION}"
+    if space == "projective":
+        allowed = f"an integer {allowed} or inf"
+    return ValueError(f"{space} dimension must be {allowed}, got {got}")
+
+
 def sphere(n: int) -> SpaceProfile:
     """The n-sphere, 1 <= n <= MAX_DIMENSION: one reduced class in degree n, null diagonal."""
     if not 1 <= n <= MAX_DIMENSION:
-        raise ValueError(f"sphere dimension must be between 1 and {MAX_DIMENSION}, got {n}")
+        raise dimension_refusal("sphere", n)
     return SpaceProfile(f"S^{n}", RationalGF(IntPolynomial.monomial(n)), diagonal_null=True)
 
 
@@ -145,10 +148,7 @@ def projective(n: int | float) -> SpaceProfile:
         series = RationalGF(IntPolynomial((0, 1)), IntPolynomial((1, -1)))
         return SpaceProfile("RP^inf", series, diagonal_null=False)
     if not isinstance(n, int) or not 1 <= n <= MAX_DIMENSION:
-        raise ValueError(
-            f"projective dimension must be an integer between 1 and {MAX_DIMENSION} "
-            f"or inf, got {n}"
-        )
+        raise dimension_refusal("projective", n)
     series = RationalGF(IntPolynomial([0] + [1] * n))
     return SpaceProfile(f"RP^{n}", series, diagonal_null=(n == 1))
 

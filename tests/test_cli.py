@@ -216,6 +216,22 @@ def test_collapse_without_mono_exits_2(capsys):
     assert "monomorphism" in err
 
 
+def test_collapse_refuses_a_disconnected_space_as_compute_does(capsys, tmp_path):
+    # the union is built first, so --mono is still the first refusal; then
+    # the loop series' gates run before E1's, which reads a derived series
+    path = tmp_path / "catalog.json"
+    path.write_text('[{"name": "X", "numerator": [1], "denominator": [1], "diagonal_null": false}]')
+    message = (
+        "error: X: the loop series needs a path-connected space "
+        "(zero constant series coefficient)\n"
+    )
+    for command in (["compute"], ["collapse", "--mono"]):
+        argv = [*command, "--A", "pt", "--Y", "X", "--catalog", str(path)]
+        assert run_cli(argv, capsys) == (2, "", message)
+    code, _, err = run_cli(["collapse", "--A", "pt", "--Y", "X", "--catalog", str(path)], capsys)
+    assert code == 2 and "monomorphism" in err
+
+
 def test_collapse_unequal_path(capsys, monkeypatch):
     monkeypatch.setattr(cli.formulas, "euler_series_einf", lambda series: series)
     code, out, _ = run_cli(["collapse", "--A", "pt", "--Y", "S^1", "--mono"], capsys)
@@ -629,6 +645,27 @@ def test_inputs_beyond_the_limits_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("digits", [1001, 4301, 100_000])
+@pytest.mark.parametrize("atom, message", [
+    ("S", f"sphere dimension must be between 1 and {spaces.MAX_DIMENSION}"),
+    ("RP", f"projective dimension must be an integer between 1 and {spaces.MAX_DIMENSION} or inf"),
+])
+def test_dimension_literal_is_refused_by_its_length(capsys, digits, atom, message):
+    # int() of a literal over the int-to-str limit would fail with advice
+    # about an interpreter setting; no digit of the literal is echoed
+    start = time.perf_counter()
+    code, out, err = run_cli(["compute", "--A", "pt", "--Y", f"{atom}^{'9' * digits}"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}, got a {digits}-digit number\n"
+
+
+def test_dimension_literal_with_leading_zeros_reads_as_its_value(capsys):
+    code, out, _ = run_cli(["compute", "--A", "pt", "--Y", "S^" + "0" * 5000 + "2"], capsys)
+    assert code == 0
+    assert out == run_cli(["compute", "--A", "pt", "--Y", "S^2"], capsys)[1]
 
 
 def test_readme_input_limits_match_the_constants():

@@ -36,7 +36,6 @@ def test_sphere_series_and_flags():
     s = sphere(1)
     assert s.series == RationalGF.from_coeffs([0, 1])
     assert s.diagonal_null
-    assert s.is_path_connected
     assert sphere(2).series == RationalGF.from_coeffs([0, 0, 1])
     assert sphere(3).betti(5).coeffs == (0, 0, 0, 1, 0, 0)
 
@@ -146,15 +145,10 @@ def test_diagonal_null_requires_path_connected():
         SpaceProfile("bad", RationalGF.from_coeffs([1, 1]), diagonal_null=True)
 
 
-def test_profile_is_path_connected():
-    assert sphere(4).is_path_connected
-    disconnected = SpaceProfile("two points", RationalGF.from_coeffs([1]))
-    assert not disconnected.is_path_connected
-
-
 TWO_POINTS = SpaceProfile("two points", RationalGF.from_coeffs([1]))
 CONNECTED = "needs a path-connected space (zero constant series coefficient)"
 DIAGONAL = "needs the reduced diagonal declared null"
+SIMPLY = "needs a simply-connected space (series coefficients 0 in degrees 0 and 1)"
 
 
 @pytest.mark.parametrize(
@@ -205,6 +199,16 @@ DIAGONAL = "needs the reduced diagonal declared null"
             lambda: combinatorics.smash_power_betti(TWO_POINTS, 2, 2),
             PathConnectednessViolation,
             f"two points: a smash power {CONNECTED}",
+        ),
+        (
+            lambda: formulas.bousfield_curtis_series(sphere(1)),
+            HypothesisViolation,
+            f"S^1: the Bousfield-Curtis series {SIMPLY}",
+        ),
+        (
+            lambda: formulas.euler_series_e1(T),
+            HypothesisViolation,
+            f"P: the first term's Euler series {SIMPLY}",
         ),
     ],
 )
