@@ -28,7 +28,8 @@ from typing import Sequence
 from . import combinatorics, formulas, spaces
 from .errors import LoopspaceError
 from .spaces import PairInclusion
-from .spaceexpr import evaluate, parse_space
+from .spaceexpr import evaluate  # noqa: F401  bench/tracing.py wraps cli.evaluate by name
+from .spaceexpr import literal_value, parse_space
 
 #: Largest --degree accepted; expansion time and memory grow with it.
 MAX_DEGREE = 10_000
@@ -91,8 +92,20 @@ def _check_printable(*rows: Sequence[int] | Sequence[Decimal], name: str | None 
         raise ValueError(f"{name}: {message}")
 
 
-def _check_limit(flag: str, value: int, limit: int) -> None:
-    if not 0 <= value <= limit:
+def _integer(text: str) -> int | str:
+    """A --degree or --kmax value, read by literal_value against MAX_DEGREE, the largest limit.
+
+    A literal with more digits than that becomes "a N-digit number", which
+    _check_limit then shows in place of the digits.
+    """
+    try:
+        return literal_value(text, MAX_DEGREE)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _check_limit(flag: str, value: int | str, limit: int) -> None:
+    if isinstance(value, str) or not 0 <= value <= limit:
         raise ValueError(f"{flag} must be between 0 and {limit}, got {value}")
 
 
@@ -115,8 +128,8 @@ def _build_pair(
     refuses a negative coefficient; built-in spaces never have one.
     """
     catalog = None if args.catalog is None else spaces.load_catalog(args.catalog)
-    sub = evaluate(parse_space(args.A, catalog))
-    ambient = evaluate(parse_space(args.Y, catalog))
+    sub = parse_space(args.A, catalog)
+    ambient = parse_space(args.Y, catalog)
     if catalog is not None and degree is not None:
         for space in (sub, ambient):
             _check_expansion(space.name, space.series.den.degree, degree)
@@ -225,13 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("compute", help="closed-form series and its expansion")
     _add_pair_flags(p)
-    p.add_argument("--degree", type=int, default=20, metavar="N")
+    p.add_argument("--degree", type=_integer, default=20, metavar="N")
     p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     p.set_defaults(func=cmd_compute)
 
     p = subs.add_parser("verify", help="closed form vs. degreewise oracle")
     _add_pair_flags(p)
-    p.add_argument("--degree", type=int, default=20, metavar="N")
+    p.add_argument("--degree", type=_integer, default=20, metavar="N")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("collapse", help="Euler series comparison for the union")
@@ -244,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_collapse)
 
     p = subs.add_parser("identity", help="binomial generating-function self-test")
-    p.add_argument("--kmax", type=int, default=8, metavar="K")
-    p.add_argument("--degree", type=int, default=30, metavar="N")
+    p.add_argument("--kmax", type=_integer, default=8, metavar="K")
+    p.add_argument("--degree", type=_integer, default=30, metavar="N")
     p.set_defaults(func=cmd_identity)
 
     return parser

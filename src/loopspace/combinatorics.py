@@ -15,6 +15,7 @@ oracle regroups its sum into O(N^3) integer operations and O(N^2) memory.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 
 from .gfcore import IntPolynomial, RationalGF, TruncSeries
@@ -122,30 +123,30 @@ def loop_series_oracle(pair: PairInclusion, bound: int) -> TruncSeries:
     fat diagonal vanishes for s > q).  Degree 0 is 0.  This never consults
     the closed form, so it serves as an independent cross-check of it.
 
-    The smash powers sum to sum_s P_Y^s.  The fat diagonals, one degree
-    down, regroup with k = s - d - 1 and j = dim mu into
-    sum_j sum_k binom(k, j - 1) t^(k+1) U_j, for
-    U_j = P_A^j * sum_i binom(i + j, j) P_Y^i; each j costs O(N^2).
+    Grouped by j = dim mu, the stages sum to sum_j (t/(1-t))^j P_A^j
+    sum_i binom(i + j, j) P_Y^i - 1: j = 0 is sum_s P_Y^s, the smash powers,
+    and (t/(1-t))^j carries the fat diagonals' stage shifts.  Horner's rule
+    takes t/(1-t) as a shift and a prefix sum: one O(N^2) product per j.
     """
     pair.require_hypotheses("the stage decomposition")
     if bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {bound}")
     y = _betti_powers(pair.ambient, bound, bound)
-    coeffs = [sum(power[q] for power in y[1:]) for q in range(bound + 1)]
     a_powers = _betti_powers(pair.sub, bound // 2, bound)
-    for j in range(1, len(a_powers)):
-        # U_j is read up to degree top; once P_A^j starts above it, so does
-        # every higher power.
+    # Term j is read to degree bound - j; past top_j, P_A^j starts above it.
+    top_j = max(j for j, power in enumerate(a_powers) if any(power[: bound - j + 1]))
+    total = [0] * (bound + 1)
+    for j in range(top_j, -1, -1):
         top = bound - j
         a_terms = [(n, c) for n, c in enumerate(a_powers[j][: top + 1]) if c]
-        if not a_terms:
-            break
         v = [0] * (top + 1)
         for i, row in enumerate(y[: top + 1]):
             weight = comb(i + j, j)
             for n in range(i, top + 1):
                 v[n] += weight * row[n]
-        shifts = [(k + 1, comb(k, j - 1)) for k in range(j - 1, bound)]
-        for q, c in enumerate(_times(_times(v, a_terms, top), shifts, bound)):
-            coeffs[q] += c
-    return TruncSeries(coeffs)
+        for q, c in enumerate(_times(v, a_terms, top)):
+            total[q] += c
+        if j:
+            total = [0, *accumulate(total[:-1])]
+    total[0] -= 1  # the empty word
+    return TruncSeries(total)

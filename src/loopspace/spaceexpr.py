@@ -23,8 +23,8 @@ recursion far from Python's recursion limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+import re
+from typing import Mapping, NamedTuple
 
 from . import spaces
 from .errors import ParseError, UnknownName
@@ -36,8 +36,7 @@ MAX_DEPTH = 100
 WORDS = ("S", "RP", "pt", "susp", "cone", "v", "inf")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident", "int", "caret", "lparen", "rparen", "end"
     text: str
     offset: int
@@ -186,16 +185,33 @@ class _Parser:
         return self.catalog[tok.text]
 
 
-def _dimension(tok: _Token, space: str) -> int:
-    """The value of a dimension literal, refused by its digit count when it cannot be in range.
+def literal_value(text: str, limit: int) -> int | str:
+    """The value of an integer literal, or "a N-digit number" when it has more
+    significant digits than limit, so that it cannot be in range.
 
     int() of a literal longer than Python's int-to-str limit would fail with
-    a message about the interpreter, and the refusal would echo every digit.
+    a message about the interpreter, and a refusal that showed the literal
+    would echo every digit.  Text other than an optionally signed run of
+    digits (with single underscores between them, as int() allows) goes to
+    int(), which raises ValueError when it is malformed.
     """
-    digits = tok.text.lstrip("0")
-    if len(digits) > len(str(spaces.MAX_DIMENSION)):
-        raise spaces.dimension_refusal(space, f"a {len(digits)}-digit number")
-    return int(digits or "0")
+    body = text.strip()
+    sign = body[:1] if body[:1] in ("+", "-") else ""
+    digits = body[len(sign) :]
+    if not re.fullmatch(r"\d+(?:_\d+)*", digits):
+        return int(text)
+    digits = digits.replace("_", "").lstrip("0")
+    if len(digits) > len(str(limit)):
+        return f"a {len(digits)}-digit number"
+    return int(sign + (digits or "0"))
+
+
+def _dimension(tok: _Token, space: str) -> int:
+    """The value of a dimension literal, refused by its digit count when it cannot be in range."""
+    value = literal_value(tok.text, spaces.MAX_DIMENSION)
+    if isinstance(value, str):
+        raise spaces.dimension_refusal(space, value)
+    return value
 
 
 def parse_space(text: str, catalog: Mapping[str, SpaceProfile] | None = None) -> SpaceProfile:

@@ -22,7 +22,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import HypothesisViolation, PathConnectednessViolation
+from .errors import HypothesisViolation, NonIntegerSeriesError, PathConnectednessViolation
 from .gfcore import ZERO, IntPolynomial, RationalGF, T
 
 #: Largest finite sphere or projective dimension accepted.  It is checked
@@ -93,8 +93,16 @@ class SpaceProfile:
             )
 
     def betti(self, bound: int):
-        """Reduced Betti numbers b_0..b_bound as a truncated series, refused if one is negative."""
-        coeffs = self.series.expand(bound)
+        """Reduced Betti numbers b_0..b_bound as a truncated series.
+
+        A coefficient that is negative or not an integer is refused, naming the space.
+        """
+        try:
+            coeffs = self.series.expand(bound)
+        except NonIntegerSeriesError as exc:
+            raise NonIntegerSeriesError(
+                f"{self.name}: series {exc}, so it cannot hold Betti numbers"
+            ) from None
         for q, b in enumerate(coeffs):
             if b < 0:
                 raise ValueError(

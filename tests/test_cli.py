@@ -387,6 +387,20 @@ def test_negative_catalog_series_exits_2(capsys, tmp_path, command):
         assert "negative" in err and "t^1" in err
 
 
+@pytest.mark.parametrize("command", ["compute", "verify"])
+@pytest.mark.parametrize("a, y, named", [("M", "S^2", "M"), ("pt", "S^2 v M", "S^2 v M")])
+def test_non_integer_catalog_series_names_the_space(capsys, tmp_path, command, a, y, named):
+    # t/(2 - t) = t/2 + t^2/4 + ... has no integer coefficient past degree 0
+    catalog = write_catalog(tmp_path, [0, 1], [2, -1])
+    argv = [command, "--A", a, "--Y", y, "--degree", "5", "--catalog", catalog]
+    assert run_cli(argv, capsys) == (
+        2,
+        "",
+        f"error: {named}: series coefficient of t^1 is not an integer, "
+        "so it cannot hold Betti numbers\n",
+    )
+
+
 def test_catalog_entry_above_the_length_limit_exits_2(capsys, tmp_path):
     catalog = write_catalog(tmp_path, [0] * spaces.MAX_CATALOG_LENGTH + [1])
     argv = ["collapse", "--mono", "--A", "M", "--Y", "M v S^1", "--catalog", catalog]
@@ -660,6 +674,43 @@ def test_dimension_literal_is_refused_by_its_length(capsys, digits, atom, messag
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err == f"error: {message}, got a {digits}-digit number\n"
+
+
+FLAG_LIMITS = pytest.mark.parametrize(
+    "argv, flag, limit",
+    [
+        (["compute", "--A", "pt", "--Y", "S^1"], "--degree", cli.MAX_DEGREE),
+        (["verify", "--A", "pt", "--Y", "S^1"], "--degree", cli.MAX_VERIFY_DEGREE),
+        (["identity"], "--kmax", cli.MAX_KMAX),
+    ],
+    ids=["compute", "verify", "identity"],
+)
+
+
+@pytest.mark.parametrize("digits", [4301, 5000, 100_000])
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+@FLAG_LIMITS
+def test_flag_literal_is_refused_by_its_length(capsys, digits, sign, argv, flag, limit):
+    # over the int-to-str limit argparse's int() would fail and echo the
+    # literal; under it the range message would show every digit
+    start = time.perf_counter()
+    code, out, err = run_cli(argv + [flag, sign + "9" * digits], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be between 0 and {limit}, got a {digits}-digit number\n"
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "literal, shown",
+    [("10001", "10001"), ("-1", "-1"), ("0" * 5000 + "10001", "10001")],
+    ids=["10001", "-1", "leading-zeros"],
+)
+@FLAG_LIMITS
+def test_short_flag_literal_is_shown_in_the_refusal(capsys, literal, shown, argv, flag, limit):
+    code, out, err = run_cli(argv + [flag, literal], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be between 0 and {limit}, got {shown}\n"
 
 
 def test_dimension_literal_with_leading_zeros_reads_as_its_value(capsys):

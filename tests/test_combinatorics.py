@@ -262,6 +262,16 @@ def test_oracle_agrees_with_closed_form_on_the_densest_pair_at_degree_200():
     assert loop_series_oracle(pair, 200) == formulas.loop_series(pair).expand(200)
 
 
+@pytest.mark.parametrize("sub", [wedge(sphere(3), sphere(4)), smash(sphere(2), sphere(2))])
+def test_oracle_agrees_with_closed_form_at_degree_80_for_a_subspace_of_valuation_above_1(sub):
+    # P_A starts in degree 3 or 4, so P_A^j starts above 80 - j for every j
+    # above 20 (or 16) of the 40 powers built: the oracle must skip them and
+    # still count the rest
+    ambient = wedge(projective(math.inf), suspend(projective(math.inf)))
+    pair = PairInclusion(sub=sub, ambient=ambient)
+    assert loop_series_oracle(pair, 80) == formulas.loop_series(pair).expand(80)
+
+
 ATOMS = st.one_of(
     st.integers(min_value=1, max_value=4).map(sphere),
     st.just(projective(1)),

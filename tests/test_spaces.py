@@ -10,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopspace import combinatorics, formulas
-from loopspace.errors import HypothesisViolation, PathConnectednessViolation
+from loopspace.errors import (
+    HypothesisViolation,
+    NonIntegerSeriesError,
+    PathConnectednessViolation,
+)
 from loopspace.gfcore import IntPolynomial, RationalGF, T, TruncSeries
 from loopspace.spaces import (
     MAX_CATALOG_BITS,
@@ -228,6 +232,14 @@ def test_betti_refuses_a_negative_coefficient():
     with pytest.raises(ValueError) as info:
         negative.betti(2)
     assert str(info.value) == "N: series coefficient -1 of t^2 is negative, so it cannot hold Betti numbers"
+
+
+def test_betti_refuses_a_non_integer_coefficient():
+    halves = SpaceProfile("H", RationalGF.from_coeffs([0, 1], [2, -1]))
+    assert list(halves.betti(0)) == [0]
+    with pytest.raises(NonIntegerSeriesError) as info:
+        halves.betti(1)
+    assert str(info.value) == "H: series coefficient of t^1 is not an integer, so it cannot hold Betti numbers"
 
 
 def test_union_series_requires_mono_flag():

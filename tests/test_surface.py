@@ -29,6 +29,7 @@ UNCALLED = {
     "bott_samelson_series": PAPER,
     "bousfield_curtis_series": PAPER,
     "normalized": TRACED,
+    "evaluate": TRACED,
     "fat_diagonal_betti": TRACED,
     "smash_power_betti": TRACED,
 }
