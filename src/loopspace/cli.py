@@ -26,7 +26,7 @@ from decimal import Decimal
 from typing import Sequence
 
 from . import combinatorics, formulas, spaces
-from .errors import LoopspaceError
+from .errors import LoopspaceError, quoted
 from .spaces import PairInclusion
 from .spaceexpr import evaluate  # noqa: F401  bench/tracing.py wraps cli.evaluate by name
 from .spaceexpr import literal_value, parse_space
@@ -101,7 +101,7 @@ def _integer(text: str) -> int | str:
     try:
         return literal_value(text, MAX_DEGREE)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
 
 
 def _check_limit(flag: str, value: int | str, limit: int) -> None:

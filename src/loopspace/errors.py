@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 
+def quoted(text: str) -> str:
+    """repr(text), or its first 16 characters and its length when it is over 40 long."""
+    return repr(text) if len(text) <= 40 else f"{text[:16]!r}... (a {len(text)}-character string)"
+
+
 class LoopspaceError(Exception):
     """Base class for every error raised by this package."""
 
@@ -59,5 +64,5 @@ class UnknownName(LoopspaceError):
     """A space expression names an atom absent from the loaded catalog."""
 
     def __init__(self, name: str):
-        super().__init__(f"unknown space name {name!r}")
+        super().__init__(f"unknown space name {quoted(name)}")
         self.name = name

@@ -10,10 +10,10 @@ a context that traps every rounding keeps them integers.  No floats
 anywhere.  The surface is what the library calls: an int is
 accepted only on the right of a polynomial operator and nowhere in RationalGF.
 
-The reduction's gcd is found by the heuristic GCDHEU, which moves the work
-into one C-level ``math.gcd`` of two large integers.  Its candidate is only
-a guess until exact division shows that it divides both inputs, so nothing
-unverified is accepted; when a few guesses fail, the primitive polynomial
+The reduction's gcd is found by the heuristic GCDHEU, which packs both
+polynomials into integers for one C-level ``math.gcd``.  Its guess stands
+only once exact division shows that it divides both inputs, and those
+quotients are the reduced fraction; when a few guesses fail, the primitive
 remainder sequence, pure Python and much slower, computes the same gcd.
 """
 
@@ -23,7 +23,6 @@ import decimal
 import operator
 from decimal import Decimal
 from math import gcd as _int_gcd
-from math import isqrt
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
@@ -119,12 +118,13 @@ class IntPolynomial:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return IntPolynomial()
-        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
+        # The shorter factor drives the outer loop, which skips its zeros.
+        outer, inner = sorted((self._coeffs, other._coeffs), key=len)
+        out = [0] * (len(outer) + len(inner) - 1)
+        for i, a in enumerate(outer):
+            if a:
+                for j, b in enumerate(inner, i):
+                    out[j] += a * b
         return IntPolynomial(out)
 
     def __pow__(self, exponent: int) -> IntPolynomial:
@@ -142,10 +142,7 @@ class IntPolynomial:
 
     def content(self) -> int:
         """Nonnegative gcd of all coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self._coeffs:
-            g = _int_gcd(g, c)
-        return g
+        return _int_gcd(*self._coeffs)
 
     def primitive_part(self) -> IntPolynomial:
         """self divided by its content; the zero polynomial maps to itself."""
@@ -161,23 +158,22 @@ class IntPolynomial:
         if self.is_zero:
             return IntPolynomial()
         rem = list(self._coeffs)
-        dcs = divisor._coeffs
-        dd = divisor.degree
-        lead = dcs[-1]
+        *low, lead = divisor._coeffs
+        dd = len(low)
         qlen = len(rem) - dd
         if qlen <= 0:
             raise ArithmeticError("division is not exact")
         quot = [0] * qlen
         for i in range(qlen - 1, -1, -1):
-            head = rem[i + dd]
-            q, r = divmod(head, lead)
+            # rem[i + dd] is consumed here and never read again.
+            q, r = divmod(rem[i + dd], lead)
             if r:
                 raise ArithmeticError("division is not exact")
             quot[i] = q
             if q:
-                for j, dc in enumerate(dcs):
-                    rem[i + j] -= q * dc
-        if any(rem):
+                for j, dc in enumerate(low, i):
+                    rem[j] -= q * dc
+        if any(rem[:dd]):
             raise ArithmeticError("division is not exact")
         return IntPolynomial(quot)
 
@@ -234,10 +230,6 @@ def _prs_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """poly_gcd by the primitive polynomial remainder sequence; same contract."""
     if a.is_zero and b.is_zero:
         return IntPolynomial()
-    if a.is_zero:
-        a, b = b, a
-    if b.is_zero:
-        return a if a.coeffs[-1] > 0 else -a
     c = _int_gcd(a.content(), b.content())
     a = a.primitive_part()
     b = b.primitive_part()
@@ -254,54 +246,63 @@ def _prs_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 _HEU_TRIES = 6
 
 
-def _value_at(p: IntPolynomial, xi: int) -> int:
-    """p(xi) by Horner's rule."""
-    value = 0
-    for c in reversed(p.coeffs):
-        value = value * xi + c
-    return value
-
-
-def _balanced_digits(value: int, xi: int) -> IntPolynomial:
-    """The polynomial whose coefficients are value's digits in base xi, each in (-xi/2, xi/2]."""
-    half = xi // 2
-    digits = []
-    while value:
-        value, d = divmod(value, xi)
-        if d > half:
-            d -= xi
-            value += 1
-        digits.append(d)
-    return IntPolynomial(digits)
-
-
-def _heuristic_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial | None:
-    """GCDHEU on primitive a and b of degree >= 1; None when it gives up.
-
-    The returned gcd is primitive with a positive leading coefficient.
-    """
+def _heuristic_gcd(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, ...] | None:
+    """(h, a/h, b/h) by GCDHEU for primitive a and b of degree >= 1, h their gcd
+    with a positive leading coefficient; None when GCDHEU gives up."""
     norm = min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs)))
-    # 2 * norm + 2 is all the acceptance theorem needs; the wider margin
-    # keeps small inputs off small values, which often share a stray factor.
-    xi = 2 * norm + 29
+    # xi = 2^k > 2 * norm + 2 is all the acceptance theorem needs; the wider
+    # margin keeps small inputs off small values, which often share a stray factor.
+    k = (2 * norm + 29).bit_length()
     for _ in range(_HEU_TRIES):
-        va, vb = _value_at(a, xi), _value_at(b, xi)
+        va = vb = 0
+        for c in reversed(a.coeffs):
+            va = (va << k) + c
+        for c in reversed(b.coeffs):
+            vb = (vb << k) + c
         if va and vb:
-            h = _balanced_digits(_int_gcd(va, vb), xi).primitive_part()
+            # The gcd's balanced base-xi digits, each in (-xi/2, xi/2].
+            value, digits, mask, half = _int_gcd(va, vb), [], (1 << k) - 1, 1 << (k - 1)
+            while value:
+                d = value & mask
+                if d > half:
+                    d -= mask + 1
+                digits.append(d)
+                value = (value - d) >> k
+            h = IntPolynomial(digits).primitive_part()
             if h.coeffs[-1] < 0:
                 h = -h
             if h.degree == 0:
-                return h
+                return h, a, b
             try:
-                a.divexact(h)
-                b.divexact(h)
+                return h, a.divexact(h), b.divexact(h)
             except ArithmeticError:
                 pass
-            else:
-                return h
-        # Grow xi by about 2.73 * xi^(1/4), the factor of Geddes et al.
-        xi = xi * isqrt(isqrt(xi)) * 73794 // 27011
+        # xi grows 2.4 to 4 times xi^(1/4); Geddes et al. take 2.73 * xi^(1/4).
+        k += k // 4 + 2
     return None
+
+
+def _cancel(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, ...]:
+    """(g, a/g, b/g) with g = poly_gcd(a, b), for nonzero a and b.
+
+    GCDHEU's accepting divisions give the quotients, scaled by a content
+    ratio where the two contents differ; only the fallback divides again.
+    """
+    pa, pb = a.primitive_part(), b.primitive_part()
+    ca, cb = a.coeffs[-1] // pa.coeffs[-1], b.coeffs[-1] // pb.coeffs[-1]
+    c = _int_gcd(ca, cb)
+    found = IntPolynomial((1,)), pa, pb
+    if a.degree > 0 and b.degree > 0:
+        found = _heuristic_gcd(pa, pb)
+        if found is None:
+            g = _prs_gcd(a, b)
+            return g, a.divexact(g), b.divexact(g)
+    h, qa, qb = found
+    if ca != c:
+        qa = qa * (ca // c)
+    if cb != c:
+        qb = qb * (cb // c)
+    return (h if c == 1 else h * c), qa, qb
 
 
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -310,28 +311,22 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     The result carries a positive leading coefficient (gcd of the contents
     for the constant case); ``poly_gcd(0, 0)`` is the zero polynomial.
 
-    Two nonconstant inputs go to the heuristic gcd GCDHEU (Char, Geddes and
-    Gonnet 1989; Geddes, Czapor and Labahn, *Algorithms for Computer
-    Algebra*, 1992, section 7.7).  With |p| the largest coefficient size of
-    p's primitive part, it evaluates both primitive parts at the integer
-    xi = 2 * min(|a|, |b|) + 29, takes the integer gcd of the two values
-    with ``math.gcd``, and reads the balanced base-xi digits of that gcd
-    back as a polynomial h.  The two values may share a factor that is no
-    value of a common divisor, so h is only a guess: its primitive part is
-    accepted once exact division shows that it divides both inputs, and
-    for xi >= 2 * min(|a|, |b|) + 2 such a divisor is the gcd (the theorem
-    behind GCDHEU).  Otherwise xi grows, ``_HEU_TRIES`` times in all, and
-    then the primitive remainder sequence ``_prs_gcd``, pure Python and far
-    slower on long inputs, decides.  Either way the result is the same
-    polynomial, and neither path calls this function again.
+    Nonconstant inputs go to GCDHEU (Char, Geddes and Gonnet 1989; Geddes,
+    Czapor and Labahn, *Algorithms for Computer Algebra*, 1992, section
+    7.7).  With |p| the largest coefficient size of p's primitive part, it
+    packs both primitive parts, by shifts and adds, into their values at
+    xi = 2^k, k the bit length of 2 * min(|a|, |b|) + 29, and reads the
+    balanced base-xi digits of the two values' ``math.gcd`` back, by masks
+    and shifts, as a polynomial h.  h is only a guess until exact division
+    shows that its primitive part divides both inputs; for xi >
+    2 * min(|a|, |b|) + 2 such a divisor is the gcd.  Otherwise k grows,
+    ``_HEU_TRIES`` times in all, and then the primitive remainder sequence
+    ``_prs_gcd``, pure Python and far slower, decides.  This is
+    ``_cancel(a, b)[0]``, the reduction ``RationalGF`` makes.
     """
     if a.is_zero or b.is_zero:
         return _prs_gcd(a, b)
-    c = _int_gcd(a.content(), b.content())
-    if a.degree == 0 or b.degree == 0:
-        return IntPolynomial((c,))
-    h = _heuristic_gcd(a.primitive_part(), b.primitive_part())
-    return _prs_gcd(a, b) if h is None else h * c
+    return _cancel(a, b)[0]
 
 
 #: Decimal arithmetic on integers of any length with every rounding trapped,
@@ -454,10 +449,7 @@ class RationalGF:
         if num.is_zero:
             den = IntPolynomial((1,))
         elif den != 1:
-            g = poly_gcd(num, den)
-            if g.degree > 0 or g.constant != 1:
-                num = num.divexact(g)
-                den = den.divexact(g)
+            _, num, den = _cancel(num, den)
         if den.constant == 0:
             raise NonUnitConstantError(
                 "denominator has zero constant term; no power-series expansion"

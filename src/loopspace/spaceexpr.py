@@ -27,7 +27,7 @@ import re
 from typing import Mapping, NamedTuple
 
 from . import spaces
-from .errors import ParseError, UnknownName
+from .errors import ParseError, UnknownName, quoted
 from .spaces import SpaceProfile
 
 MAX_DEPTH = 100
@@ -66,7 +66,7 @@ def _tokenize(text: str) -> list[_Token]:
             run = text[start:i]
             if len(run) > 1:
                 raise ParseError(
-                    f"unexpected token {run!r} at offset {start}", start, ("^",)
+                    f"unexpected token {quoted(run)} at offset {start}", start, ("^",)
                 )
             tokens.append(_Token("caret", "^", start))
         elif "0" <= c <= "9":
@@ -102,9 +102,9 @@ class _Parser:
         return tok
 
     def fail(self, tok: _Token, expected: tuple[str, ...]) -> ParseError:
-        shown = tok.text if tok.kind != "end" else "end of input"
+        shown = quoted(tok.text if tok.kind != "end" else "end of input")
         return ParseError(
-            f"unexpected {shown!r} at offset {tok.offset}; expected one of "
+            f"unexpected {shown} at offset {tok.offset}; expected one of "
             + ", ".join(expected),
             tok.offset,
             expected,

@@ -36,15 +36,15 @@ MAX_DIMENSION = 1000
 MAX_SERIES_DEGREE = 2 * MAX_DIMENSION
 
 #: Longest numerator or denominator array a catalog entry may have.  Two
-#: random entries of this length take about 1.6 s through
-#: ``collapse --mono --A E0 --Y "E0 v E1"`` even when every gcd falls back
-#: to the remainder sequence (length 80 took 3.6 s, 96 took 8.2 s).
+#: random entries of this length take about 0.02 s through ``collapse --mono
+#: --A E0 --Y "E0 v E1"``, and 0.9-1.2 s when every gcd falls back to the
+#: remainder sequence (there, length 80 took 3.6 s and 96 took 8.2 s).
 MAX_CATALOG_LENGTH = 64
 
 #: Largest length times largest coefficient bit length of a catalog array.
-#: The heuristic gcd evaluates at a point about as large as the largest
-#: coefficient, so its cost follows that product.  Two random entries of 64
-#: coefficients of 301 digits take about 3.3 s through the command above.
+#: The heuristic gcd packs a polynomial into about that many bits.  Two
+#: random entries of 64 coefficients of 301 digits take 1.1-1.5 s through the
+#: command above; falling back to the remainder sequence, over 300 s.
 MAX_CATALOG_BITS = 64_000
 
 
@@ -145,6 +145,10 @@ def sphere(n: int) -> SpaceProfile:
     return SpaceProfile(f"S^{n}", RationalGF(IntPolynomial.monomial(n)), diagonal_null=True)
 
 
+#: t/(1 - t), the series of RP^inf, built and reduced once.
+_RP_INF_SERIES = RationalGF(IntPolynomial((0, 1)), IntPolynomial((1, -1)))
+
+
 def projective(n: int | float) -> SpaceProfile:
     """Real projective n-space, 1 <= n <= MAX_DIMENSION or math.inf.
 
@@ -153,8 +157,7 @@ def projective(n: int | float) -> SpaceProfile:
     from n = 2 up the cup products obstruct it.
     """
     if n == math.inf:
-        series = RationalGF(IntPolynomial((0, 1)), IntPolynomial((1, -1)))
-        return SpaceProfile("RP^inf", series, diagonal_null=False)
+        return SpaceProfile("RP^inf", _RP_INF_SERIES, diagonal_null=False)
     if not isinstance(n, int) or not 1 <= n <= MAX_DIMENSION:
         raise dimension_refusal("projective", n)
     series = RationalGF(IntPolynomial([0] + [1] * n))

@@ -713,6 +713,34 @@ def test_short_flag_literal_is_shown_in_the_refusal(capsys, literal, shown, argv
     assert err == f"error: {flag} must be between 0 and {limit}, got {shown}\n"
 
 
+def _shown(text):
+    """How a refusal shows text: whole up to 40 characters, else its start and length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"'{text[:16]}'... (a {len(text)}-character string)"
+
+
+@pytest.mark.parametrize("length", [3, 40, 41, 5000])
+@pytest.mark.parametrize(
+    "letter, argv, message",
+    [
+        ("x", ["--Y", "S^1", "--degree", "{}"], "argument --degree: invalid int value: {}"),
+        ("n", ["--Y", "{}"], "unknown space name {}"),
+        ("n", ["--Y", "S^1 {}"], "unexpected {} at offset 4; expected one of v, ^, end of input"),
+        ("^", ["--Y", "S^1 {} S^2"], "unexpected token {} at offset 4"),
+    ],
+    ids=["degree", "unknown-name", "parse", "caret-run"],
+)
+def test_long_token_is_shown_by_its_length(capsys, length, letter, argv, message):
+    # up to 40 characters the refusal quotes the token whole, as it always did
+    token = letter * length
+    code, out, err = run_cli(["compute", "--A", "pt"] + [a.format(token) for a in argv], capsys)
+    assert (code, out) == (2, "")
+    # argparse puts its usage lines first
+    assert err.endswith(f"error: {message.format(_shown(token))}\n")
+    assert len(err.encode()) < 300
+
+
 def test_dimension_literal_with_leading_zeros_reads_as_its_value(capsys):
     code, out, _ = run_cli(["compute", "--A", "pt", "--Y", "S^" + "0" * 5000 + "2"], capsys)
     assert code == 0

@@ -74,16 +74,16 @@ def test_tensor_series_matches_division(num, den, c):
 
 
 def gcd_calls(monkeypatch, build):
-    """How many times build() calls gfcore.poly_gcd, where RationalGF reduces."""
+    """How many times build() calls gfcore._cancel, where RationalGF reduces."""
     calls = []
-    real = gfcore.poly_gcd
+    real = gfcore._cancel
 
     def counting(a, b):
         calls.append((a, b))
         return real(a, b)
 
     with monkeypatch.context() as patch:
-        patch.setattr(gfcore, "poly_gcd", counting)
+        patch.setattr(gfcore, "_cancel", counting)
         build()
     return len(calls)
 

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loopspace import gfcore
@@ -244,6 +244,35 @@ def test_poly_gcd_equals_the_remainder_sequence(f, g, h, cf, cg):
     a, b = f * h * cf, g * h * cg
     assert poly_gcd(a, b) == _prs_gcd(a, b)
     assert poly_gcd(b, a) == _prs_gcd(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=POLYS, g=POLYS, h=POLYS, cf=CONTENTS, cg=CONTENTS)
+def test_cancel_returns_the_gcd_and_coprime_quotients(f, g, h, cf, cg):
+    # a planted common factor h, contents, constants and negative leading
+    # coefficients all occur; _cancel takes nonzero inputs only
+    a, b = f * h * cf, g * h * cg
+    assume(not a.is_zero and not b.is_zero)
+    d, qa, qb = gfcore._cancel(a, b)
+    assert d * qa == a and d * qb == b
+    assert d == _prs_gcd(a, b)
+    assert _prs_gcd(qa, qb) == IntPolynomial((1,))
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 5, 8, 13, 30, 31, 32, 62, 63, 64, 100, 1000])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_first_evaluation_point_exceeds_the_acceptance_bound(monkeypatch, bits, offset):
+    # a = norm*t + 1 and b = norm*t - 1 are primitive with norm |a| = |b|,
+    # and the first integer gcd the heuristic takes is of a(xi) and b(xi)
+    norm = (1 << bits) + offset
+    values = []
+    real = gfcore._int_gcd
+    monkeypatch.setattr(gfcore, "_int_gcd", lambda *args: values.append(args) or real(*args))
+    gfcore._heuristic_gcd(IntPolynomial([1, norm]), IntPolynomial([-1, norm]))
+    xi = (values[0][0] - 1) // norm
+    assert values[0] == (norm * xi + 1, norm * xi - 1)
+    assert xi & (xi - 1) == 0 and xi > 2 * norm + 2
+    assert xi == 1 << (2 * norm + 29).bit_length()
 
 
 CYCLOTOMIC_PAIRS = [

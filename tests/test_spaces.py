@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopspace import combinatorics, formulas
+from loopspace import combinatorics, formulas, gfcore
 from loopspace.errors import (
     HypothesisViolation,
     NonIntegerSeriesError,
@@ -96,6 +96,14 @@ def test_projective_finite_and_infinite():
     assert inf.series == RationalGF.from_coeffs([0, 1], [1, -1])
     assert not inf.diagonal_null
     assert inf.betti(5).coeffs == (0, 1, 1, 1, 1, 1)
+
+
+def test_projective_infinite_reduces_nothing(monkeypatch):
+    # t/(1 - t) is reduced once, at import, not on every RP^inf atom
+    calls = []
+    monkeypatch.setattr(gfcore, "_cancel", lambda a, b: calls.append((a, b)))
+    projective(math.inf)
+    assert calls == []
 
 
 def test_projective_rejects_bad_dimensions():

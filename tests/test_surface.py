@@ -32,6 +32,8 @@ UNCALLED = {
     "evaluate": TRACED,
     "fat_diagonal_betti": TRACED,
     "smash_power_betti": TRACED,
+    # RationalGF reduces through gfcore._cancel, which poly_gcd calls.
+    "poly_gcd": "exported in loopspace.__all__, and " + TRACED,
 }
 
 
@@ -78,5 +80,5 @@ def test_each_uncalled_name_still_has_its_reason():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     traced = {attr for _, attr, _, _ in tracing.layer_table(loopspace)}
-    untraced = [name for name, reason in UNCALLED.items() if reason == TRACED and name not in traced]
+    untraced = [name for name, reason in UNCALLED.items() if reason.endswith(TRACED) and name not in traced]
     assert untraced == []
