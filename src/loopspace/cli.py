@@ -26,7 +26,7 @@ from decimal import Decimal
 from typing import Sequence
 
 from . import combinatorics, formulas, spaces
-from .errors import LoopspaceError, quoted
+from .errors import LoopspaceError, NonIntegerSeriesError, quoted
 from .spaces import PairInclusion
 from .spaceexpr import evaluate  # noqa: F401  bench/tracing.py wraps cli.evaluate by name
 from .spaceexpr import literal_value, parse_space
@@ -125,15 +125,25 @@ def _build_pair(
     """The pair named by --A and --Y, resolved against --catalog if given.
 
     With a degree, a catalog-built A or Y is expanded to it so that ``betti``
-    refuses a negative coefficient; built-in spaces never have one.
+    refuses a negative or non-integer coefficient; built-in spaces never have
+    one.  Without a degree, one whose series has a non-integer coefficient
+    anywhere is refused: by Fatou's lemma, a reduced series has integer
+    coefficients exactly when its denominator is 1 at t = 0.
     """
     catalog = None if args.catalog is None else spaces.load_catalog(args.catalog)
     sub = parse_space(args.A, catalog)
     ambient = parse_space(args.Y, catalog)
-    if catalog is not None and degree is not None:
+    if catalog is not None:
         for space in (sub, ambient):
-            _check_expansion(space.name, space.series.den.degree, degree)
-            space.betti(degree)
+            if degree is not None:
+                _check_expansion(space.name, space.series.den.degree, degree)
+                space.betti(degree)
+            elif space.series.den.constant != 1:
+                raise NonIntegerSeriesError(
+                    f"{space.name}: series in lowest terms has a denominator other "
+                    "than 1 at t = 0, so some coefficient is not an integer and it "
+                    "cannot hold Betti numbers"
+                )
     return PairInclusion(sub=sub, ambient=ambient, mono_in_homology=mono)
 
 

@@ -10,11 +10,11 @@ a context that traps every rounding keeps them integers.  No floats
 anywhere.  The surface is what the library calls: an int is
 accepted only on the right of a polynomial operator and nowhere in RationalGF.
 
-The reduction's gcd is found by the heuristic GCDHEU, which packs both
-polynomials into integers for one C-level ``math.gcd``.  Its guess stands
-only once exact division shows that it divides both inputs, and those
-quotients are the reduced fraction; when a few guesses fail, the primitive
-remainder sequence, pure Python and much slower, computes the same gcd.
+The reduction's gcd is found by the heuristic GCDHEU alone, which packs
+both polynomials into integers for one C-level ``math.gcd``.  Its guess
+stands only once exact division shows that it divides both inputs, and
+those quotients are the reduced fraction; a rejected guess is tried again
+at a larger evaluation point, and some point is always accepted.
 """
 
 from __future__ import annotations
@@ -208,52 +208,23 @@ def _as_poly(value: object) -> IntPolynomial:
     return NotImplemented
 
 
-def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Pseudo-remainder of a by b: rem(lc(b)^(deg a - deg b + 1) * a, b)."""
-    da, db = a.degree, b.degree
-    bcs = b.coeffs
-    lead = bcs[-1]
-    rem = list(a.coeffs)
-    for i in range(da - db, -1, -1):
-        head = rem[i + db]
-        # Scale the live prefix so the head divides exactly; the entries
-        # above i + db are already zero.
-        for j in range(i + db):
-            rem[j] *= lead
-        for j in range(db):
-            rem[i + j] -= head * bcs[j]
-        rem[i + db] = 0
-    return IntPolynomial(rem)
-
-
-def _prs_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """poly_gcd by the primitive polynomial remainder sequence; same contract."""
-    if a.is_zero and b.is_zero:
-        return IntPolynomial()
-    c = _int_gcd(a.content(), b.content())
-    a = a.primitive_part()
-    b = b.primitive_part()
-    while not b.is_zero:
-        r = _pseudo_rem(a, b).primitive_part()
-        a, b = b, r
-    if a.coeffs[-1] < 0:
-        a = -a
-    return a * c
-
-
-#: Evaluation points the heuristic gcd tries before it leaves the inputs
-#: to the remainder sequence.
-_HEU_TRIES = 6
-
-
-def _heuristic_gcd(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, ...] | None:
+def _heuristic_gcd(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, ...]:
     """(h, a/h, b/h) by GCDHEU for primitive a and b of degree >= 1, h their gcd
-    with a positive leading coefficient; None when GCDHEU gives up."""
+    with a positive leading coefficient.
+
+    xi grows until exact division accepts, and that happens.  Write
+    a = h * a' and b = h * b'.  The integer gcd of a(xi) and b(xi) is then
+    |h(xi)| * g, and g divides Res(a', b') != 0, which is u * a' + v * b'
+    for some u and v in Z[t].  So once xi > 2 * |Res(a', b')| * |h|, with
+    |h| the largest coefficient size of h, the digits read back are
+    g * h, whose primitive part is h.  A value is zero only at one of the
+    finitely many roots of a and b, and those evaluation points are skipped.
+    """
     norm = min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs)))
     # xi = 2^k > 2 * norm + 2 is all the acceptance theorem needs; the wider
     # margin keeps small inputs off small values, which often share a stray factor.
     k = (2 * norm + 29).bit_length()
-    for _ in range(_HEU_TRIES):
+    while True:
         va = vb = 0
         for c in reversed(a.coeffs):
             va = (va << k) + c
@@ -279,25 +250,20 @@ def _heuristic_gcd(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, .
                 pass
         # xi grows 2.4 to 4 times xi^(1/4); Geddes et al. take 2.73 * xi^(1/4).
         k += k // 4 + 2
-    return None
 
 
 def _cancel(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, ...]:
     """(g, a/g, b/g) with g = poly_gcd(a, b), for nonzero a and b.
 
     GCDHEU's accepting divisions give the quotients, scaled by a content
-    ratio where the two contents differ; only the fallback divides again.
+    ratio where the two contents differ, so nothing is divided twice.
     """
     pa, pb = a.primitive_part(), b.primitive_part()
     ca, cb = a.coeffs[-1] // pa.coeffs[-1], b.coeffs[-1] // pb.coeffs[-1]
     c = _int_gcd(ca, cb)
-    found = IntPolynomial((1,)), pa, pb
+    h, qa, qb = IntPolynomial((1,)), pa, pb
     if a.degree > 0 and b.degree > 0:
-        found = _heuristic_gcd(pa, pb)
-        if found is None:
-            g = _prs_gcd(a, b)
-            return g, a.divexact(g), b.divexact(g)
-    h, qa, qb = found
+        h, qa, qb = _heuristic_gcd(pa, pb)
     if ca != c:
         qa = qa * (ca // c)
     if cb != c:
@@ -309,7 +275,8 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Greatest common divisor in Z[t], content included.
 
     The result carries a positive leading coefficient (gcd of the contents
-    for the constant case); ``poly_gcd(0, 0)`` is the zero polynomial.
+    for the constant case); ``poly_gcd(0, b)`` is b with its sign made so,
+    and ``poly_gcd(0, 0)`` is the zero polynomial.
 
     Nonconstant inputs go to GCDHEU (Char, Geddes and Gonnet 1989; Geddes,
     Czapor and Labahn, *Algorithms for Computer Algebra*, 1992, section
@@ -319,13 +286,14 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     balanced base-xi digits of the two values' ``math.gcd`` back, by masks
     and shifts, as a polynomial h.  h is only a guess until exact division
     shows that its primitive part divides both inputs; for xi >
-    2 * min(|a|, |b|) + 2 such a divisor is the gcd.  Otherwise k grows,
-    ``_HEU_TRIES`` times in all, and then the primitive remainder sequence
-    ``_prs_gcd``, pure Python and far slower, decides.  This is
-    ``_cancel(a, b)[0]``, the reduction ``RationalGF`` makes.
+    2 * min(|a|, |b|) + 2 such a divisor is the gcd.  Otherwise k grows by
+    about a quarter and GCDHEU tries again; ``_heuristic_gcd`` says why
+    some try is accepted.  This is ``_cancel(a, b)[0]``, the reduction
+    ``RationalGF`` makes.
     """
     if a.is_zero or b.is_zero:
-        return _prs_gcd(a, b)
+        g = b if a.is_zero else a
+        return g if g.is_zero or g.coeffs[-1] > 0 else -g
     return _cancel(a, b)[0]
 
 

@@ -22,7 +22,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import HypothesisViolation, NonIntegerSeriesError, PathConnectednessViolation
+from .errors import HypothesisViolation, NonIntegerSeriesError, PathConnectednessViolation, quoted
 from .gfcore import ZERO, IntPolynomial, RationalGF, T
 
 #: Largest finite sphere or projective dimension accepted.  It is checked
@@ -36,15 +36,16 @@ MAX_DIMENSION = 1000
 MAX_SERIES_DEGREE = 2 * MAX_DIMENSION
 
 #: Longest numerator or denominator array a catalog entry may have.  Two
-#: random entries of this length take about 0.02 s through ``collapse --mono
-#: --A E0 --Y "E0 v E1"``, and 0.9-1.2 s when every gcd falls back to the
-#: remainder sequence (there, length 80 took 3.6 s and 96 took 8.2 s).
+#: random entries of this length take about 0.01 s through ``collapse --mono
+#: --A E0 --Y "E0 v E1"``; one of 10-digit coefficients whose numerator
+#: vanishes at the first six points the gcd evaluates at, under 0.01 s.
 MAX_CATALOG_LENGTH = 64
 
 #: Largest length times largest coefficient bit length of a catalog array.
 #: The heuristic gcd packs a polynomial into about that many bits.  Two
-#: random entries of 64 coefficients of 301 digits take 1.1-1.5 s through the
-#: command above; falling back to the remainder sequence, over 300 s.
+#: random entries of 64 coefficients of 301 digits take 1.1-2.1 s through the
+#: command above.  A numerator within this limit vanishes at no more than
+#: the first 19 points the gcd evaluates at.
 MAX_CATALOG_BITS = 64_000
 
 
@@ -279,6 +280,13 @@ class _Catalog(Mapping[str, SpaceProfile]):
         return len(self._entries)
 
 
+#: How a refusal shows a catalog name that is not a JSON string: by its type.
+_JSON_TYPES = {
+    list: "an array", dict: "an object", int: "a number", float: "a number",
+    bool: "a boolean", type(None): "null",
+}
+
+
 def parse_catalog(data: object) -> Mapping[str, SpaceProfile]:
     """Build profiles from decoded catalog JSON (a list of objects).
 
@@ -303,41 +311,45 @@ def parse_catalog(data: object) -> Mapping[str, SpaceProfile]:
             diag = entry["diagonal_null"]
         except KeyError as missing:
             raise ValueError(f"catalog entry {i} lacks key {missing}") from None
+        if isinstance(name, str):
+            shown = quoted(name)
+        else:
+            shown = _JSON_TYPES.get(type(name), "a non-string value")
         if not isinstance(name, str) or not is_catalog_name(name):
             raise ValueError(
-                f"catalog entry {i}: no expression can name {name!r}; a name must be "
+                f"catalog entry {i}: no expression can name {shown}; a name must be "
                 f"one identifier other than {', '.join(WORDS[:-1])} and {WORDS[-1]}"
             )
         for label, arr in (("numerator", num), ("denominator", den)):
             if not isinstance(arr, list):
-                raise ValueError(f"catalog entry {name!r}: {label} must be a list of integers")
+                raise ValueError(f"catalog entry {shown}: {label} must be a list of integers")
             widest = 0
             for c in arr:
                 # bool subclasses int, so JSON true/false would pass as 1/0.
                 if type(c) is not int and (isinstance(c, bool) or not isinstance(c, int)):
-                    raise ValueError(f"catalog entry {name!r}: {label} must be a list of integers")
+                    raise ValueError(f"catalog entry {shown}: {label} must be a list of integers")
                 if c.bit_length() > widest:
                     widest = c.bit_length()
             if len(arr) > MAX_CATALOG_LENGTH:
                 raise ValueError(
-                    f"catalog entry {name!r}: {label} has {len(arr)} coefficients, "
+                    f"catalog entry {shown}: {label} has {len(arr)} coefficients, "
                     f"more than the limit {MAX_CATALOG_LENGTH}"
                 )
             bits = len(arr) * widest
             if bits > MAX_CATALOG_BITS:
                 raise ValueError(
-                    f"catalog entry {name!r}: {label} has {len(arr)} coefficients of up to "
+                    f"catalog entry {shown}: {label} has {len(arr)} coefficients of up to "
                     f"{bits // len(arr)} bits; length times that bit length is {bits}, "
                     f"above the limit {MAX_CATALOG_BITS}"
                 )
         if not den or den[0] == 0:
             raise ValueError(
-                f"catalog entry {name!r}: denominator needs a nonzero entry at index 0"
+                f"catalog entry {shown}: denominator needs a nonzero entry at index 0"
             )
         if not isinstance(diag, bool):
-            raise ValueError(f"catalog entry {name!r}: diagonal_null must be a boolean")
+            raise ValueError(f"catalog entry {shown}: diagonal_null must be a boolean")
         if name in out:
-            raise ValueError(f"catalog defines {name!r} twice")
+            raise ValueError(f"catalog defines {shown} twice")
         _check_diagonal_null(name, diag, num[0] if num else 0)
         out[name] = (tuple(num), tuple(den), diag)
     return _Catalog(out)

@@ -23,6 +23,7 @@ from loopspace import cli, formulas, gfcore, spaces
 from loopspace.errors import LoopspaceError
 from loopspace.gfcore import RationalGF, TruncSeries
 from loopspace.spaceexpr import parse_space
+from rational_reference import planted_roots_pair
 
 
 def run_cli(args, capsys):
@@ -426,6 +427,45 @@ def test_catalog_entry_above_the_size_limit_exits_2(capsys, tmp_path):
     )
 
 
+def test_entry_whose_gcd_outlasts_six_evaluation_points_exits_2_quickly(capsys, tmp_path):
+    # The numerator (63 coefficients of up to 891 bits) vanishes at the six
+    # points the gcd first evaluates at; the old six-try cap then left the
+    # reduction to the remainder sequence, which took 6-11 s for this entry.
+    a, b = planted_roots_pair(10, (20, 43, 35), 6)
+    catalog = write_catalog(tmp_path, list(a.coeffs), list(b.coeffs))
+    argv = ["compute", "--A", "pt", "--Y", "M", "--degree", "3", "--catalog", catalog]
+    start = time.perf_counter()
+    result = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 3.0
+    assert result == (
+        2, "", "error: M: series coefficient of t^1 is not an integer, so it cannot hold Betti numbers\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "numerator, denominator, refused",
+    [([0, 1], [2], True), ([0, 1], [2, -1], True), ([0, 2], [2], False)],
+    ids=["t/2", "t/(2-t)", "2t/2"],
+)
+def test_collapse_refuses_a_catalog_series_with_non_integer_coefficients(
+    capsys, tmp_path, numerator, denominator, refused
+):
+    # By Fatou's lemma a series in lowest terms has integer coefficients
+    # exactly when its denominator is 1 at t = 0; 2t/2 is t.
+    catalog = write_catalog(tmp_path, numerator, denominator)
+    for a, y, named in (("M", "S^2", "M"), ("pt", "S^2 v M", "S^2 v M")):
+        code, out, err = run_cli(["collapse", "--mono", "--A", a, "--Y", y, "--catalog", catalog], capsys)
+        if refused:
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: {named}: series in lowest terms has a denominator other than 1 at "
+                "t = 0, so some coefficient is not an integer and it cannot hold Betti numbers\n"
+            )
+        else:
+            assert (code, err) == (0, "")
+            assert out.endswith("equal\n")
+
+
 @pytest.mark.parametrize(
     "argv, name, den_degree",
     [
@@ -738,6 +778,21 @@ def test_long_token_is_shown_by_its_length(capsys, length, letter, argv, message
     assert (code, out) == (2, "")
     # argparse puts its usage lines first
     assert err.endswith(f"error: {message.format(_shown(token))}\n")
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize(
+    "name, shown",
+    [("x" * 5000, _shown("x" * 5000)), (["a"] * 2000, "an array")],
+    ids=["long", "array"],
+)
+def test_catalog_name_in_a_refusal_is_short(capsys, tmp_path, name, shown):
+    path = tmp_path / "catalog.json"
+    entry = {"name": name, "numerator": [0, 1], "denominator": "no", "diagonal_null": True}
+    path.write_text(json.dumps([entry]))
+    code, out, err = run_cli(["compute", "--A", "pt", "--Y", "S^1", "--catalog", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert shown in err
     assert len(err.encode()) < 300
 
 

@@ -3,8 +3,8 @@
 The independent checks here avoid the library's own algorithms: expansions
 are verified by multiplying back against the denominator, the constructor's
 reduction by cross-multiplying the raw coefficient lists, a monic Euclid gcd
-over Fraction and sympy's ``cancel``, and arithmetic by termwise Fraction
-series.
+over Fraction, the primitive remainder sequence of ``rational_reference``
+and sympy's ``cancel``, and arithmetic by termwise Fraction series.
 """
 
 import decimal
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from loopspace import gfcore
+from loopspace import gfcore, spaces
 from loopspace.errors import (
     NonIntegerSeriesError,
     NonUnitConstantError,
@@ -29,10 +29,16 @@ from loopspace.gfcore import (
     ZERO,
     IntPolynomial,
     RationalGF,
-    _prs_gcd,
     poly_gcd,
 )
-from rational_reference import div, sub
+from rational_reference import (
+    _prs_gcd,
+    _pseudo_rem,
+    div,
+    evaluation_exponents,
+    planted_roots_pair,
+    sub,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -275,6 +281,35 @@ def test_first_evaluation_point_exceeds_the_acceptance_bound(monkeypatch, bits, 
     assert xi == 1 << (2 * norm + 29).bit_length()
 
 
+@pytest.mark.parametrize(
+    "digits, degrees, roots",
+    # 18 roots of 1-digit factors are as many as fit in a catalog array
+    [(1, (20, 43, 35), 6), (10, (6, 17, 14), 6), (1, (1, 1, 1), 18)],
+    ids=["1-digit", "10-digit", "18-roots"],
+)
+def test_cancel_outlasts_evaluation_points_planted_as_roots(monkeypatch, digits, degrees, roots):
+    # a vanishes at each of the first `roots` points GCDHEU evaluates at, so
+    # no integer gcd is taken there, and six such points used to exhaust it
+    a, b = planted_roots_pair(digits, degrees, roots)
+    assert len(a.coeffs) * max(c.bit_length() for c in a.coeffs) <= spaces.MAX_CATALOG_BITS
+    values = []
+    real = gfcore._int_gcd
+    monkeypatch.setattr(gfcore, "_int_gcd", lambda *args: values.append(args) or real(*args))
+    d, qa, qb = gfcore._cancel(a, b)
+    assert d * qa == a and d * qb == b
+    assert d == _prs_gcd(a, b) and d.degree == degrees[0]
+    assert _prs_gcd(qa, qb) == IntPolynomial((1,))
+    # the evaluation that decided is past the planted points
+    pa, pb = a.primitive_part(), b.primitive_part()
+
+    def at(p, k):
+        return sum(c << (k * i) for i, c in enumerate(p.coeffs))
+
+    *planted, last = evaluation_exponents(b, roots + 1)
+    assert all(at(pa, k) == 0 for k in planted)
+    assert (at(pa, last), at(pb, last)) in values
+
+
 CYCLOTOMIC_PAIRS = [
     # t^105 - 1 has coefficients of size 1, but one of its cyclotomic
     # factors has a coefficient -2; the gcds are t^70 + t^35 + 1 and t^21 - 1
@@ -303,28 +338,13 @@ def test_poly_gcd_matches_sympy():
         assert list(reversed(got.coeffs or (0,))) == [int(c) for c in expected.all_coeffs()]
 
 
-def test_poly_gcd_falls_back_to_the_remainder_sequence(monkeypatch):
-    rng = random.Random(67)
-    pairs = [(IntPolynomial(a), IntPolynomial(b)) for a, b in CYCLOTOMIC_PAIRS]
-    for _ in range(60):
-        h = IntPolynomial([rng.randint(-5, 5) for _ in range(rng.randint(1, 5))] + [rng.choice([1, -2])])
-        pairs.append((h * IntPolynomial([rng.randint(-9, 9) for _ in range(6)]),
-                      h * IntPolynomial([rng.randint(-9, 9) for _ in range(5)])))
-    heuristic = [poly_gcd(a, b) for a, b in pairs]
-    fallbacks = []
-    monkeypatch.setattr(gfcore, "_heuristic_gcd", lambda a, b: None)
-    monkeypatch.setattr(gfcore, "_prs_gcd", lambda a, b: fallbacks.append(1) or _prs_gcd(a, b))
-    assert [poly_gcd(a, b) for a, b in pairs] == heuristic
-    assert len(fallbacks) == len(pairs)
-
-
 def test_pseudo_remainder():
     # t^3 + 1 = (t^2 - t + 1) * (t + 1), and by 2t + 1 with lc 2 scaled in
     # three times, 8 * (t^3 + 1) = (4t^2 - 2t + 1) * (2t + 1) + 7
     a = IntPolynomial([1, 0, 0, 1])
-    assert gfcore._pseudo_rem(a, IntPolynomial([1, 1])).is_zero
-    assert gfcore._pseudo_rem(a, IntPolynomial([1, 2])).coeffs == (7,)
-    assert gfcore._pseudo_rem(IntPolynomial([5, 3]), IntPolynomial([1, 0, 1])).coeffs == (5, 3)
+    assert _pseudo_rem(a, IntPolynomial([1, 1])).is_zero
+    assert _pseudo_rem(a, IntPolynomial([1, 2])).coeffs == (7,)
+    assert _pseudo_rem(IntPolynomial([5, 3]), IntPolynomial([1, 0, 1])).coeffs == (5, 3)
 
 
 # -------------------------------------------------------------- RationalGF

@@ -415,6 +415,46 @@ def test_parse_catalog_refuses_names_no_expression_can_reach(name):
         parse_catalog([_entry(name=name)])
 
 
+@pytest.mark.parametrize("length", [3, 40, 41, 5000])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"invalid": True}, "catalog entry 0: no expression can name {}; a name must be"),
+        ({"numerator": "no"}, "catalog entry {}: numerator must be a list of integers"),
+        ({"den": [1, "a"]}, "catalog entry {}: denominator must be a list of integers"),
+        ({"num": [0] * (MAX_CATALOG_LENGTH + 1)}, "catalog entry {}: numerator has 65 coefficients"),
+        ({"num": [0, 2**MAX_CATALOG_BITS]}, "catalog entry {}: numerator has 2 coefficients of up to"),
+        ({"den": [0, 1]}, "catalog entry {}: denominator needs a nonzero entry at index 0"),
+        ({"diag": 1}, "catalog entry {}: diagonal_null must be a boolean"),
+        ({"twice": True}, "catalog defines {} twice"),
+    ],
+    ids=["name", "numerator", "denominator", "length", "bits", "constant", "flag", "twice"],
+)
+def test_parse_catalog_refusals_show_a_long_name_by_its_length(length, entry, message):
+    # up to 40 characters the name is quoted whole, as it always was
+    name = "x" * length
+    fields = dict(entry)
+    if fields.pop("invalid", False):
+        name = name[:-1] + "-"
+    copies = 2 if fields.pop("twice", False) else 1
+    entries = [_entry(name=name, **fields)] * copies
+    with pytest.raises(ValueError) as refusal:
+        parse_catalog(entries)
+    shown = repr(name) if length <= 40 else f"'{name[:16]}'... (a {length}-character string)"
+    assert str(refusal.value).startswith(message.format(shown))
+    assert len(str(refusal.value)) < 300
+
+
+@pytest.mark.parametrize(
+    "name, shown",
+    [(["a"] * 2000, "an array"), ({"a": 1}, "an object"), (7, "a number"), (1.5, "a number"),
+     (True, "a boolean"), (None, "null")],
+)
+def test_parse_catalog_shows_a_name_that_is_not_a_string_by_its_type(name, shown):
+    with pytest.raises(ValueError, match=re.escape(f"catalog entry 0: no expression can name {shown};")):
+        parse_catalog([_entry(name=name)])
+
+
 def test_parse_catalog_accepts_identifier_names():
     # the benchmark's names and those the tests use
     names = [f"c{i}" for i in range(24)] + [f"E{i}" for i in range(24)]

@@ -1,13 +1,14 @@
-"""Every function and class in the library has a caller in the library.
+"""Every function, class and module-level constant in the library is read in the library.
 
 A name that only tests reach is surface the library does not need, so it
-goes, with its tests.  The check is static: it parses ``src/loopspace``
-and counts a name as called when a module other than ``__init__`` (whose
-imports and ``__all__`` only export) reads it, as a bare name or as an
-attribute, outside the name's own definition.  Names are matched by
-spelling, not by owner.  Dunder methods are exempt: the interpreter calls
-them.  The names kept without a caller are listed below, each with its
-reason, and an entry fails once its reason no longer holds.
+goes, with its tests; a constant nothing reads, such as a retired limit or
+cap, goes too.  The check is static: it parses ``src/loopspace`` and counts
+a name as used when a module other than ``__init__`` (whose imports and
+``__all__`` only export) reads it, as a bare name or as an attribute,
+outside the name's own definition.  Names are matched by spelling, not by
+owner.  Dunder names are exempt: the interpreter reads them.  The names
+kept without a reader are listed below, each with its reason, and an entry
+fails once its reason no longer holds.
 """
 
 import ast
@@ -37,34 +38,53 @@ UNCALLED = {
 }
 
 
+def _definitions(tree):
+    """(name, node) for each def and class, and each module-level constant, of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                yield target.id, node
+
+
 def _library_census():
-    """(defined, called): the library's non-dunder def and class names, and
-    those read somewhere in the library outside their own definition."""
+    """(defined, called): the library's non-dunder def, class and constant
+    names, and those read somewhere in the library outside their own definition."""
     modules = [
         ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((ROOT / "src" / "loopspace").glob("*.py"))
         if path.name != "__init__.py"
     ]
-    definitions = []  # (module index, node)
+    definitions = []  # (module index, name, node)
     reads = defaultdict(list)  # name -> [(module index, line)]
     for index, tree in enumerate(modules):
+        definitions += [
+            (index, name, node)
+            for name, node in _definitions(tree)
+            if not (name.startswith("__") and name.endswith("__"))
+        ]
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    definitions.append((index, node))
-            elif isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reads[node.id].append((index, node.lineno))
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 reads[node.attr].append((index, node.lineno))
     called = {
-        node.name
-        for index, node in definitions
+        name
+        for index, name, node in definitions
         if any(
             not (where == index and node.lineno <= line <= node.end_lineno)
-            for where, line in reads[node.name]
+            for where, line in reads[name]
         )
     }
-    return {node.name for _, node in definitions}, called
+    return {name for _, name, _ in definitions}, called
 
 
 def test_every_library_name_has_a_library_caller():
