@@ -26,7 +26,7 @@ from decimal import Decimal
 from typing import Sequence
 
 from . import combinatorics, formulas, spaces
-from .errors import LoopspaceError, NonIntegerSeriesError, quoted
+from .errors import LoopspaceError, quoted
 from .spaces import PairInclusion
 from .spaceexpr import evaluate  # noqa: F401  bench/tracing.py wraps cli.evaluate by name
 from .spaceexpr import literal_value, parse_space
@@ -39,13 +39,13 @@ MAX_DEGREE = 10_000
 #: take about 2-2.5 s and 17 MB.
 MAX_VERIFY_DEGREE = 250
 
-#: Largest --degree times denominator degree accepted for an expansion,
-#: which costs at most that many multiply-adds on growing integers, one per
-#: nonzero denominator coefficient and degree.  At this budget, whole
-#: commands in process on one CPU: ``compute --A S^1 --Y RP^499 --degree
-#: 10000`` takes about 0.1 s, ``--Y "RP^1000 ^ RP^1000" --degree 2498`` about
-#: 0.4 s, and the densest tried, ``--Y "RP^300 ^ RP^300 ^ RP^300" --degree
-#: 5500``, whose denominator has 901 nonzero coefficients, about 1.6 s.
+#: Largest --degree times denominator degree accepted for the loop series'
+#: expansion: at most that many multiply-adds on growing integers, one per
+#: nonzero denominator coefficient and degree (a catalog entry's sign check
+#: needs at most 64 * MAX_DEGREE = 640,000).  In process on one CPU,
+#: ``compute --A S^1 --Y RP^499 --degree 10000`` takes about 0.1 s, ``--Y
+#: "RP^1000 ^ RP^1000" --degree 2498`` 0.4 s, and the densest tried, ``--Y
+#: "RP^300 ^ RP^300 ^ RP^300" --degree 5500`` (901 nonzero taps), 1.6 s.
 MAX_EXPANSION_WORK = 5_000_000
 
 #: Largest --kmax accepted.  identity checks each k once, expanded to
@@ -109,41 +109,17 @@ def _check_limit(flag: str, value: int | str, limit: int) -> None:
         raise ValueError(f"{flag} must be between 0 and {limit}, got {value}")
 
 
-def _check_expansion(name: str, den_degree: int, degree: int) -> None:
-    """Refuse to expand a series to degree when that exceeds MAX_EXPANSION_WORK."""
-    if degree * den_degree > MAX_EXPANSION_WORK:
-        raise ValueError(
-            f"expanding {name}, whose denominator has degree {den_degree}, to degree "
-            f"{degree} is above the work limit {MAX_EXPANSION_WORK} for the product of "
-            f"the two; lower --degree to {MAX_EXPANSION_WORK // den_degree} or below"
-        )
-
-
-def _build_pair(
-    args: argparse.Namespace, degree: int | None = None, mono: bool = False
-) -> PairInclusion:
+def _build_pair(args: argparse.Namespace, degree: int = 0, mono: bool = False) -> PairInclusion:
     """The pair named by --A and --Y, resolved against --catalog if given.
 
-    With a degree, a catalog-built A or Y is expanded to it so that ``betti``
-    refuses a negative or non-integer coefficient; built-in spaces never have
-    one.  Without a degree, one whose series has a non-integer coefficient
-    anywhere is refused: by Fatou's lemma, a reduced series has integer
-    coefficients exactly when its denominator is 1 at t = 0.
+    Each catalog entry named must hold Betti numbers (``spaces._Catalog``),
+    and the operators keep that, so A and Y have Betti numbers up to degree.
     """
     catalog = None if args.catalog is None else spaces.load_catalog(args.catalog)
     sub = parse_space(args.A, catalog)
     ambient = parse_space(args.Y, catalog)
     if catalog is not None:
-        for space in (sub, ambient):
-            if degree is not None:
-                _check_expansion(space.name, space.series.den.degree, degree)
-                space.betti(degree)
-            elif space.series.den.constant != 1:
-                raise NonIntegerSeriesError(
-                    f"{space.name}: series in lowest terms has a denominator other "
-                    "than 1 at t = 0, so some coefficient is not an integer and it "
-                    "cannot hold Betti numbers"
-                )
+        catalog.check_signs(degree)
     return PairInclusion(sub=sub, ambient=ambient, mono_in_homology=mono)
 
 
@@ -155,7 +131,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
     den = list(series.den.coeffs)
     _check_printable(num, name="the loop series numerator")
     _check_printable(den, name="the loop series denominator")
-    _check_expansion("the loop series", series.den.degree, args.degree)
+    if args.degree * series.den.degree > MAX_EXPANSION_WORK:
+        raise ValueError(
+            f"expanding the loop series, whose denominator has degree {series.den.degree}, to "
+            f"degree {args.degree} is above the work limit {MAX_EXPANSION_WORK} for the product "
+            f"of the two; lower --degree to {MAX_EXPANSION_WORK // series.den.degree} or below"
+        )
     coeffs = series.expand_for_str(args.degree)
     _check_printable(coeffs)
     if args.format == "plain":

@@ -57,7 +57,7 @@ def bousfield_curtis_series(x: SpaceProfile) -> RationalGF:
     checked (degrees 0 and 1 of the series must vanish; the diagonal-null
     flag must be declared).
     """
-    _require_simply_connected(x.name, x.series, "the Bousfield-Curtis series")
+    _require_simply_connected(spaces.short_name(x.name), x.series, "the Bousfield-Curtis series")
     x.require_diagonal_null("the Bousfield-Curtis series")
     return _tensor_series(x.series.num, x.series.den, T.num)
 

@@ -49,6 +49,11 @@ MAX_CATALOG_LENGTH = 64
 MAX_CATALOG_BITS = 64_000
 
 
+def short_name(name: str) -> str:
+    """A space's name for a refusal, each identifier over 40 characters shown by errors.quoted."""
+    return re.sub(r"\w{41,}", lambda word: quoted(word[0]), name)
+
+
 def _check_diagonal_null(name: str, diagonal_null: bool, constant: int) -> None:
     """Refuse a diagonal-null space whose series numerator is nonzero at t = 0.
 
@@ -57,7 +62,7 @@ def _check_diagonal_null(name: str, diagonal_null: bool, constant: int) -> None:
     """
     if diagonal_null and constant != 0:
         raise HypothesisViolation(
-            f"{name}: diagonal-null spaces are path-connected, "
+            f"{short_name(name)}: diagonal-null spaces are path-connected, "
             "but the series has a nonzero constant coefficient"
         )
 
@@ -82,7 +87,7 @@ class SpaceProfile:
         """Raise PathConnectednessViolation unless the reduced Betti number in degree 0 vanishes."""
         if self.series.num.constant != 0:
             raise PathConnectednessViolation(
-                f"{self.name}: {purpose} needs a path-connected space "
+                f"{short_name(self.name)}: {purpose} needs a path-connected space "
                 "(zero constant series coefficient)"
             )
 
@@ -90,25 +95,28 @@ class SpaceProfile:
         """Raise HypothesisViolation unless the reduced diagonal is declared null."""
         if not self.diagonal_null:
             raise HypothesisViolation(
-                f"{self.name}: {purpose} needs the reduced diagonal declared null"
+                f"{short_name(self.name)}: {purpose} needs the reduced diagonal declared null"
             )
 
     def betti(self, bound: int):
         """Reduced Betti numbers b_0..b_bound as a truncated series.
 
-        A coefficient that is negative or not an integer is refused, naming the space.
+        A negative or non-integer coefficient is refused, naming the space and
+        the degree; a negative one over 40 characters is shown by its digit count.
         """
         try:
             coeffs = self.series.expand(bound)
         except NonIntegerSeriesError as exc:
             raise NonIntegerSeriesError(
-                f"{self.name}: series {exc}, so it cannot hold Betti numbers"
+                f"{short_name(self.name)}: series {exc}, so it cannot hold Betti numbers"
             ) from None
         for q, b in enumerate(coeffs):
             if b < 0:
+                from decimal import Decimal  # Decimal(b) is exact, and has no str() digit limit
+                shown = f"coefficient {b} of t^{q} is negative" if b > -10**39 else (
+                    f"coefficient of t^{q} is negative and has {Decimal(b).adjusted() + 1} digits")
                 raise ValueError(
-                    f"{self.name}: series coefficient {b} of t^{q} is negative, "
-                    "so it cannot hold Betti numbers"
+                    f"{short_name(self.name)}: series {shown}, so it cannot hold Betti numbers"
                 )
         return coeffs
 
@@ -179,8 +187,8 @@ def _check_degree(operator: str, a: SpaceProfile, b: SpaceProfile, degree: int) 
     """Refuse the operator on a and b when its series would have this degree."""
     if degree > MAX_SERIES_DEGREE:
         raise ValueError(
-            f"{operator} of {a.name} and {b.name}: its series would have degree "
-            f"{degree}, above the limit {MAX_SERIES_DEGREE}"
+            f"{operator} of {short_name(a.name)} and {short_name(b.name)}: its series "
+            f"would have degree {degree}, above the limit {MAX_SERIES_DEGREE}"
         )
 
 
@@ -242,8 +250,8 @@ def union_series(pair: PairInclusion) -> RationalGF:
     """
     if not pair.mono_in_homology:
         raise HypothesisViolation(
-            f"{pair.sub.name} -> {pair.ambient.name}: the union series needs the "
-            "inclusion declared a monomorphism in homology (mono_in_homology)"
+            f"{short_name(pair.sub.name)} -> {short_name(pair.ambient.name)}: the union "
+            "series needs the inclusion declared a monomorphism in homology (mono_in_homology)"
         )
     # One numerator over (1-t)*den Y*den A, reduced once.
     y, a = pair.ambient.series, pair.sub.series
@@ -255,7 +263,9 @@ class _Catalog(Mapping[str, SpaceProfile]):
     """Validated catalog entries; an entry's profile is built on first lookup.
 
     Building a profile reduces its series, so a command pays only for the
-    names its expressions use.
+    names its expressions use.  Entries, not the spaces built from them, are
+    checked for Betti numbers.  By Fatou's lemma, a lookup refuses exactly the
+    series with a non-integer coefficient: reduced denominator not 1 at t = 0.
     """
 
     def __init__(self, entries: dict[str, tuple[tuple[int, ...], tuple[int, ...], bool]]):
@@ -263,12 +273,25 @@ class _Catalog(Mapping[str, SpaceProfile]):
         self._built: dict[str, SpaceProfile] = {}
 
     def __getitem__(self, name: str) -> SpaceProfile:
-        profile = self._built.get(name)
-        if profile is None:
+        if name not in self._built:
             num, den, diag = self._entries[name]
-            profile = SpaceProfile(name, RationalGF.from_coeffs(num, den), diagonal_null=diag)
-            self._built[name] = profile
-        return profile
+            series = RationalGF.from_coeffs(num, den)
+            if series.den.constant != 1:
+                raise NonIntegerSeriesError(
+                    f"{short_name(name)}: series in lowest terms has a denominator other than 1 at "
+                    "t = 0, so some coefficient is not an integer and it cannot hold Betti numbers"
+                )
+            self._built[name] = SpaceProfile(name, series, diagonal_null=diag)
+        return self._built[name]
+
+    def check_signs(self, degree: int) -> None:
+        """Refuse an entry looked up so far with a negative coefficient up to
+        max(degree, m + n), m and n its numerator and denominator degrees, whose
+        first m + n + 1 coefficients determine it (Pade uniqueness); no finite
+        horizon is complete (Ouaknine and Worrell, SODA 2014).
+        """
+        for entry in self._built.values():
+            entry.betti(max(degree, entry.series.num.degree + entry.series.den.degree))
 
     def __contains__(self, name: object) -> bool:
         return name in self._entries
@@ -287,7 +310,7 @@ _JSON_TYPES = {
 }
 
 
-def parse_catalog(data: object) -> Mapping[str, SpaceProfile]:
+def parse_catalog(data: object) -> _Catalog:
     """Build profiles from decoded catalog JSON (a list of objects).
 
     Each entry needs "name", integer coefficient arrays "numerator" and
@@ -295,7 +318,7 @@ def parse_catalog(data: object) -> Mapping[str, SpaceProfile]:
     MAX_CATALOG_BITS, denominator nonzero at index 0), and a boolean
     "diagonal_null"; other keys are ignored; a name must be one an
     expression can reach.  Every entry is validated here; its series is
-    built and reduced only when the entry is looked up.
+    built, reduced and checked for integer coefficients on first lookup.
     """
     from .spaceexpr import WORDS, is_catalog_name  # spaceexpr imports this module
     if not isinstance(data, list):
@@ -311,10 +334,8 @@ def parse_catalog(data: object) -> Mapping[str, SpaceProfile]:
             diag = entry["diagonal_null"]
         except KeyError as missing:
             raise ValueError(f"catalog entry {i} lacks key {missing}") from None
-        if isinstance(name, str):
-            shown = quoted(name)
-        else:
-            shown = _JSON_TYPES.get(type(name), "a non-string value")
+        shown = (quoted(name) if isinstance(name, str)
+                 else _JSON_TYPES.get(type(name), "a non-string value"))
         if not isinstance(name, str) or not is_catalog_name(name):
             raise ValueError(
                 f"catalog entry {i}: no expression can name {shown}; a name must be "
@@ -343,9 +364,7 @@ def parse_catalog(data: object) -> Mapping[str, SpaceProfile]:
                     f"above the limit {MAX_CATALOG_BITS}"
                 )
         if not den or den[0] == 0:
-            raise ValueError(
-                f"catalog entry {shown}: denominator needs a nonzero entry at index 0"
-            )
+            raise ValueError(f"catalog entry {shown}: denominator needs a nonzero entry at index 0")
         if not isinstance(diag, bool):
             raise ValueError(f"catalog entry {shown}: diagonal_null must be a boolean")
         if name in out:
@@ -355,7 +374,7 @@ def parse_catalog(data: object) -> Mapping[str, SpaceProfile]:
     return _Catalog(out)
 
 
-def load_catalog(path: str | os.PathLike) -> Mapping[str, SpaceProfile]:
+def load_catalog(path: str | os.PathLike) -> _Catalog:
     """Read a catalog JSON file; see parse_catalog for the schema."""
     with open(path, encoding="utf-8") as fh:
         try:

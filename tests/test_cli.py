@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from loopspace import cli, formulas, gfcore, spaces
 from loopspace.errors import LoopspaceError
 from loopspace.gfcore import RationalGF, TruncSeries
 from loopspace.spaceexpr import parse_space
-from rational_reference import planted_roots_pair
+from rational_reference import _prs_gcd, planted_roots_pair
 
 
 def run_cli(args, capsys):
@@ -377,29 +378,37 @@ def write_catalog(tmp_path, numerator, denominator=(1,)):
     return str(path)
 
 
+def negative_at(q, b, name="M"):
+    return f"error: {name}: series coefficient {b} of t^{q} is negative, so it cannot hold Betti numbers\n"
+
+
 @pytest.mark.parametrize("command", ["compute", "verify"])
-def test_negative_catalog_series_exits_2(capsys, tmp_path, command):
+@pytest.mark.parametrize(
+    "a, y", [("M", "S^2"), ("pt", "S^2 v M"), ("pt", "M ^ M"), ("pt", "M v S^1"), ("M ^ M", "RP^inf")]
+)
+def test_negative_catalog_series_exits_2(capsys, tmp_path, command, a, y):
+    # M = -t: M ^ M = t^2 and M v S^1 = 0 have no negative coefficient, but
+    # they are built from a series that cannot hold Betti numbers
     catalog = write_catalog(tmp_path, [0, -1])
-    for a, y in (("M", "S^2"), ("pt", "S^2 v M")):
-        argv = [command, "--A", a, "--Y", y, "--degree", "5", "--catalog", catalog]
-        code, out, err = run_cli(argv, capsys)
-        assert code == 2
-        assert out == ""
-        assert "negative" in err and "t^1" in err
+    argv = [command, "--A", a, "--Y", y, "--degree", "5", "--catalog", catalog]
+    assert run_cli(argv, capsys) == (2, "", negative_at(1, -1))
+
+
+FATOU = (
+    "error: M: series in lowest terms has a denominator other than 1 at t = 0, "
+    "so some coefficient is not an integer and it cannot hold Betti numbers\n"
+)
 
 
 @pytest.mark.parametrize("command", ["compute", "verify"])
-@pytest.mark.parametrize("a, y, named", [("M", "S^2", "M"), ("pt", "S^2 v M", "S^2 v M")])
-def test_non_integer_catalog_series_names_the_space(capsys, tmp_path, command, a, y, named):
-    # t/(2 - t) = t/2 + t^2/4 + ... has no integer coefficient past degree 0
+@pytest.mark.parametrize("a, y", [("M", "S^2"), ("pt", "S^2 v M")])
+@pytest.mark.parametrize("degree", ["0", "5"])
+def test_non_integer_catalog_series_names_the_space(capsys, tmp_path, command, a, y, degree):
+    # t/(2 - t) = t/2 + t^2/4 + ... has no integer coefficient past degree 0;
+    # the entry is refused when it is looked up, at any degree.
     catalog = write_catalog(tmp_path, [0, 1], [2, -1])
-    argv = [command, "--A", a, "--Y", y, "--degree", "5", "--catalog", catalog]
-    assert run_cli(argv, capsys) == (
-        2,
-        "",
-        f"error: {named}: series coefficient of t^1 is not an integer, "
-        "so it cannot hold Betti numbers\n",
-    )
+    argv = [command, "--A", a, "--Y", y, "--degree", degree, "--catalog", catalog]
+    assert run_cli(argv, capsys) == (2, "", FATOU)
 
 
 def test_catalog_entry_above_the_length_limit_exits_2(capsys, tmp_path):
@@ -437,9 +446,7 @@ def test_entry_whose_gcd_outlasts_six_evaluation_points_exits_2_quickly(capsys, 
     start = time.perf_counter()
     result = run_cli(argv, capsys)
     assert time.perf_counter() - start < 3.0
-    assert result == (
-        2, "", "error: M: series coefficient of t^1 is not an integer, so it cannot hold Betti numbers\n"
-    )
+    assert result == (2, "", FATOU)
 
 
 @pytest.mark.parametrize(
@@ -453,14 +460,10 @@ def test_collapse_refuses_a_catalog_series_with_non_integer_coefficients(
     # By Fatou's lemma a series in lowest terms has integer coefficients
     # exactly when its denominator is 1 at t = 0; 2t/2 is t.
     catalog = write_catalog(tmp_path, numerator, denominator)
-    for a, y, named in (("M", "S^2", "M"), ("pt", "S^2 v M", "S^2 v M")):
+    for a, y in (("M", "S^2"), ("pt", "S^2 v M")):
         code, out, err = run_cli(["collapse", "--mono", "--A", a, "--Y", y, "--catalog", catalog], capsys)
         if refused:
-            assert (code, out) == (2, "")
-            assert err == (
-                f"error: {named}: series in lowest terms has a denominator other than 1 at "
-                "t = 0, so some coefficient is not an integer and it cannot hold Betti numbers\n"
-            )
+            assert (code, out, err) == (2, "", FATOU)
         else:
             assert (code, err) == (0, "")
             assert out.endswith("equal\n")
@@ -471,9 +474,10 @@ def test_collapse_refuses_a_catalog_series_with_non_integer_coefficients(
     [
         # the loop series of S^1 in RP^1000 has a denominator of degree 1001
         (["compute", "--A", "S^1", "--Y", "RP^1000"], "the loop series", 1001),
-        # a catalog-built Y is expanded to check its signs: (1 - t^63)^9
+        # Y = M^9 for M = t/(1 - t^63): only the loop series is held to the
+        # limit, and its denominator has the degree of (1 - t^63)^9
         (["compute", "--A", "pt", "--Y", " ^ ".join(["M"] * 9), "--catalog", "{catalog}"],
-         " ^ ".join(["M"] * 9), 567),
+         "the loop series", 567),
     ],
 )
 def test_expansion_above_the_work_limit_exits_2_quickly(capsys, tmp_path, argv, name, den_degree):
@@ -525,11 +529,209 @@ def test_smash_above_the_degree_limit_exits_2_quickly(capsys):
 
 
 def test_negative_coefficient_beyond_degree_is_not_checked(capsys, tmp_path):
-    catalog = write_catalog(tmp_path, [0, 0, 1, 0, 0, -1])
-    argv = ["compute", "--A", "M", "--Y", "S^2", "--degree", "4", "--catalog", catalog]
-    assert run_cli(argv, capsys)[0] == 0
-    argv[argv.index("4")] = "5"
-    assert run_cli(argv, capsys)[0] == 2
+    # P = t/(1 - t + t^2) = t + t^2 - t^4 - t^5 + ...: m + n = 3, and the
+    # first negative coefficient, t^4, lies above it
+    catalog = write_catalog(tmp_path, [0, 1], [1, -1, 1])
+    for a, y in (("M", "S^2"), ("pt", "M")):
+        pair = ["--A", a, "--Y", y, "--catalog", catalog]
+        for argv in (["collapse", "--mono"], ["compute", "--degree", "3"]):
+            code, out, err = run_cli(argv + pair, capsys)
+            assert (code, err) == (0, "")
+        assert run_cli(["compute", "--degree", "4"] + pair, capsys) == (2, "", negative_at(4, -1))
+
+
+@pytest.mark.parametrize("numerator, q", [([0, -1], 1), ([0, 1, 0, -1], 3)], ids=["-t", "t-t^3"])
+def test_negative_coefficient_within_the_entry_horizon_is_refused_above_degree(
+    capsys, tmp_path, numerator, q
+):
+    # A polynomial has m + n = its degree, so its first negative coefficient
+    # is refused below it, and by collapse, which takes no degree
+    catalog = write_catalog(tmp_path, numerator)
+    for argv in (["compute", "--degree", str(q - 1)], ["verify", "--degree", "0"], ["collapse", "--mono"]):
+        argv += ["--A", "pt", "--Y", "M", "--catalog", catalog]
+        assert run_cli(argv, capsys) == (2, "", negative_at(q, -1))
+
+
+def test_negative_coefficient_too_long_to_print_is_shown_by_its_length(capsys, tmp_path):
+    # 1 - 19754e296 t + 1e600 t^2 has complex roots of modulus 10^-300 at an
+    # angle near pi/20, so M's first negative coefficient is at t^21, and
+    # it has 6000 digits: more than str() of an int may print by default
+    catalog = write_catalog(tmp_path, [0, 1], [1, -19754 * 10**296, 10**600])
+    message = (
+        "error: M: series coefficient of t^21 is negative and has 6000 digits, "
+        "so it cannot hold Betti numbers\n"
+    )
+    for command in ("compute", "verify"):
+        argv = [command, "--A", "pt", "--Y", "M", "--degree", "25", "--catalog", catalog]
+        assert run_cli(argv, capsys) == (2, "", message)
+
+
+def test_unprintable_betti_number_of_the_subspace_reaches_the_loop_series_a_degree_later(
+    capsys, tmp_path
+):
+    # M = t/(1 - 10^297 t) has b_q = 10^(297 (q - 1)), too long to print from
+    # t^16 on.  The loop series is at least b_q(Y) in degree q, but only at
+    # least b_(q-1)(A): an early stop at A's first unprintable degree would
+    # refuse the first command, which prints.
+    if sys.get_int_max_str_digits() != 4300:
+        pytest.skip("the degrees below are those of the default print limit")
+    catalog = write_catalog(tmp_path, [0, 1], [1, -(10**297)])
+    refusal = (
+        "error: the coefficient of t^{0} has more than 4300 digits, too long to print; "
+        "lower --degree below {0}\n"
+    )
+    argv = ["compute", "--A", "M", "--Y", "S^1", "--degree", "16", "--catalog", catalog]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2].startswith("coeffs: [0,1,2,")
+    argv[argv.index("16")] = "17"
+    assert run_cli(argv, capsys) == (2, "", refusal.format(17))
+    argv = ["compute", "--A", "pt", "--Y", "S^1 v M", "--degree", "16", "--catalog", catalog]
+    assert run_cli(argv, capsys) == (2, "", refusal.format(16))
+
+
+def test_sign_check_of_the_largest_nonnegative_entries_stays_quick(capsys, tmp_path):
+    # Two entries at both catalog limits, 64 coefficients of 301 digits,
+    # nonnegative since den = 1 - (positive terms): collapse reduces them
+    # and expands each to its m + n = 126.
+    rng = random.Random(1)
+    entries = [
+        {"name": f"E{i}", "numerator": [0] + [rng.randrange(10**300, 10**301) for _ in range(63)],
+         "denominator": [1] + [-rng.randrange(10**300, 10**301) for _ in range(63)],
+         "diagonal_null": True}
+        for i in range(2)
+    ]
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(entries))
+    start = time.perf_counter()
+    argv = ["collapse", "--mono", "--A", "E0", "--Y", "E0 v E1", "--catalog", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 3.0
+    assert (code, err) == (0, "")
+    assert out.endswith("\nequal\n")
+
+
+def test_a_catalog_entry_is_always_within_the_expansion_work_limit():
+    # The sign check expands each entry to at most MAX_DEGREE, or to its
+    # m + n below 2 * MAX_CATALOG_LENGTH, over a denominator of degree
+    # below MAX_CATALOG_LENGTH; only the loop series needs the limit.
+    assert 2 * spaces.MAX_CATALOG_LENGTH <= cli.MAX_DEGREE
+    assert spaces.MAX_CATALOG_LENGTH * cli.MAX_DEGREE <= cli.MAX_EXPANSION_WORK
+
+
+LONG_NAME_REFUSALS = [
+    # refused when the file is loaded, before any expression is read
+    ({"numerator": [1], "diagonal_null": True}, ["--A", "pt", "--Y", "S^1"], False,
+     "{}: diagonal-null spaces are path-connected, but the series has a nonzero constant coefficient"),
+    ({"numerator": [0, 1], "diagonal_null": False}, ["--A", "{}", "--Y", "S^2"], True,
+     "{}: the loop series needs the reduced diagonal declared null"),
+    ({"numerator": [1], "diagonal_null": False}, ["--A", "pt", "--Y", "{}"], True,
+     "{}: the loop series needs a path-connected space (zero constant series coefficient)"),
+    ({"numerator": [0, -1], "diagonal_null": True}, ["--A", "pt", "--Y", "{}"], False,
+     "{}: series coefficient -1 of t^1 is negative, so it cannot hold Betti numbers"),
+    ({"numerator": [0, 1], "denominator": [2], "diagonal_null": True}, ["--A", "pt", "--Y", "{}"], False,
+     "{}: series in lowest terms has a denominator other than 1 at t = 0, "
+     "so some coefficient is not an integer and it cannot hold Betti numbers"),
+]
+
+
+@pytest.mark.parametrize("entry, argv, names_the_space, message", LONG_NAME_REFUSALS,
+                         ids=["diagonal-null", "gate-diagonal", "gate-connected", "negative", "fatou"])
+@pytest.mark.parametrize("inside", [False, True], ids=["alone", "in-wedge"])
+@pytest.mark.parametrize("length", [40, 41, 5000])
+def test_long_entry_name_is_shown_by_its_length_in_every_refusal(
+    capsys, tmp_path, entry, argv, names_the_space, message, inside, length
+):
+    # The gates name the space they refuse, so a wedge is named whole, with
+    # the entry's name shortened in it; an entry's own refusals name the entry.
+    name = "x" * length
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([{"name": name, "denominator": [1], **entry}]))
+    expression = f"S^2 v {name}" if inside else name
+    argv = ["compute", *(a.format(expression) for a in argv), "--catalog", str(path)]
+    shown = name if length <= 40 else _shown(name)
+    if inside and names_the_space:
+        shown = f"S^2 v {shown}"
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {message.format(shown)}\n")
+    assert len(err.encode()) < 300
+
+
+# Catalog entries of small signed coefficients with den(0) = 1; num(0) = 0
+# keeps them path-connected and diagonal-null.
+SIGNED_ENTRIES = st.lists(
+    st.tuples(
+        st.lists(st.integers(-2, 2), min_size=1, max_size=4).map(lambda cs: [0, *cs]),
+        st.lists(st.integers(-2, 2), max_size=3).map(lambda cs: [1, *cs]),
+    ),
+    min_size=2,
+    max_size=2,
+)
+SIGNED_EXPRESSIONS = st.recursive(
+    st.sampled_from(["E0", "E1", "E0", "E1", "S^1", "S^2", "RP^2", "RP^inf", "pt"]),
+    lambda inner: st.one_of(
+        st.builds("{} v {}".format, inner, inner),
+        st.builds("({}) ^ ({})".format, inner, inner),
+        st.builds("susp({})".format, inner),
+        st.builds("cone({})".format, inner),
+    ),
+    max_leaves=4,
+)
+
+
+def _first_negative(num, den, bound):
+    """(q, a_q) for the first negative a_q of num/den up to bound, by the recurrence den * a = num."""
+    out = []
+    for q in range(bound + 1):
+        a = num[q] if q < len(num) else 0
+        a -= sum(den[k] * out[q - k] for k in range(1, min(q, len(den) - 1) + 1))
+        if a < 0:
+            return q, a
+        out.append(a)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=SIGNED_ENTRIES, a=SIGNED_EXPRESSIONS, y=SIGNED_EXPRESSIONS, degree=st.integers(0, 12))
+def test_compute_refuses_exactly_an_entry_with_a_negative_coefficient_in_its_horizon(
+    tmp_path_factory, entries, a, y, degree
+):
+    catalog = [
+        {"name": f"E{i}", "numerator": num, "denominator": den, "diagonal_null": True}
+        for i, (num, den) in enumerate(entries)
+    ]
+    path = tmp_path_factory.mktemp("signed") / "catalog.json"
+    path.write_text(json.dumps(catalog))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["compute", "--A", a, "--Y", y, "--degree", str(degree), "--catalog", str(path)])
+    # Entries are checked in the order the two expressions first name them.
+    for name in dict.fromkeys(re.findall(r"E\d", f"{a} {y}")):
+        num, den = entries[int(name[1])]
+        g = _prs_gcd(gfcore.IntPolynomial(num), gfcore.IntPolynomial(den))
+        horizon = gfcore.IntPolynomial(num).degree + gfcore.IntPolynomial(den).degree - 2 * g.degree
+        first = _first_negative(num, den, max(degree, horizon))
+        if first is not None:
+            assert (code, out.getvalue(), err.getvalue()) == (2, "", negative_at(*first, name=name))
+            return
+    # Otherwise the command prints what the library computes, and the
+    # accepted expansion is nonnegative, as Betti numbers of a loop space are.
+    table = spaces.parse_catalog(catalog)
+    try:
+        series = formulas.loop_series(
+            spaces.PairInclusion(sub=parse_space(a, table), ambient=parse_space(y, table))
+        )
+    except LoopspaceError as exc:
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {exc}\n")
+        return
+    coeffs = list(series.expand(degree))
+    assert min(coeffs) >= 0
+    expected = (
+        f"num: {cli._fmt_list(series.num.coeffs or [0])}\n"
+        f"den: {cli._fmt_list(series.den.coeffs)}\n"
+        f"coeffs: {cli._fmt_list(coeffs)}\n"
+    )
+    assert (code, out.getvalue(), err.getvalue()) == (0, expected, "")
 
 
 def write_entries(tmp_path, extra=()):
@@ -639,8 +841,8 @@ BIG = 10**4000 + 7  # 4001 digits: readable, but its square is too long to print
 @pytest.mark.parametrize(
     "numerator, denominator, argv, row",
     [
-        # M^M = t^4/(1 + BIG t)^2: the numerator [0,0,0,0,1] prints, the denominator cannot
-        ([0, 0, 1], [1, BIG], ["compute"], "the loop series denominator"),
+        # M^M = t^4/(1 - BIG t)^2: the numerator [0,0,0,0,1] prints, the denominator cannot
+        ([0, 0, 1], [1, -BIG], ["compute"], "the loop series denominator"),
         # M^M = BIG^2 t^4/(1 - t)^2
         ([0, 0, BIG], [1, -1], ["compute"], "the loop series numerator"),
         ([0, 0, BIG], [1, -1], ["compute", "--format", "json"], "the loop series numerator"),

@@ -28,6 +28,7 @@ from loopspace.spaces import (
     parse_catalog,
     point,
     projective,
+    short_name,
     smash,
     sphere,
     suspend,
@@ -248,6 +249,31 @@ def test_betti_refuses_a_non_integer_coefficient():
     with pytest.raises(NonIntegerSeriesError) as info:
         halves.betti(1)
     assert str(info.value) == "H: series coefficient of t^1 is not an integer, so it cannot hold Betti numbers"
+
+
+@pytest.mark.parametrize(
+    "b, shown",
+    [
+        (-(10**39 - 1), f"coefficient {-(10**39 - 1)} of t^1 is negative"),  # 40 characters
+        (-(10**39), "coefficient of t^1 is negative and has 40 digits"),
+        (-(10**9000), "coefficient of t^1 is negative and has 9001 digits"),
+    ],
+    ids=["40", "41", "9002"],
+)
+def test_betti_shows_a_long_negative_coefficient_by_its_digit_count(b, shown):
+    space = SpaceProfile("N", RationalGF.from_coeffs([0, b]))
+    with pytest.raises(ValueError) as info:
+        space.betti(1)
+    assert str(info.value) == f"N: series {shown}, so it cannot hold Betti numbers"
+
+
+def test_short_name_shortens_each_long_identifier_and_nothing_else():
+    assert short_name("(S^2 v " + "a" * 40 + ") ^ RP^inf") == "(S^2 v " + "a" * 40 + ") ^ RP^inf"
+    long = "b" * 41
+    shown = "'bbbbbbbbbbbbbbbb'... (a 41-character string)"
+    assert short_name(f"susp({long}) v S^1 ^ {long}_2") == (
+        f"susp({shown}) v S^1 ^ 'bbbbbbbbbbbbbbbb'... (a 43-character string)"
+    )
 
 
 def test_union_series_requires_mono_flag():
@@ -475,14 +501,20 @@ COEFFS = st.lists(st.integers(min_value=-3, max_value=3), max_size=4)
 @given(num=COEFFS, den=COEFFS.filter(lambda cs: cs and cs[0] != 0), diag=st.booleans())
 def test_parse_catalog_checks_raw_entries_as_the_profile_would(num, den, diag):
     # parse_catalog vets diagonal_null on the raw numerator; the profile,
-    # built on lookup, must agree with building it from the reduced series.
+    # built on lookup, must agree with building it from the reduced series,
+    # and the lookup refuses a reduced denominator other than 1 at t = 0.
     try:
         expected = SpaceProfile("M", RationalGF.from_coeffs(num, den), diagonal_null=diag)
     except HypothesisViolation as exc:
         with pytest.raises(HypothesisViolation, match=re.escape(str(exc))):
             parse_catalog([_entry(num=num, den=den, diag=diag)])
+        return
+    catalog = parse_catalog([_entry(num=num, den=den, diag=diag)])
+    if expected.series.den.constant == 1:
+        assert catalog["M"] == expected
     else:
-        assert parse_catalog([_entry(num=num, den=den, diag=diag)])["M"] == expected
+        with pytest.raises(NonIntegerSeriesError, match="^M: series in lowest terms has a denominator"):
+            catalog["M"]
 
 
 def test_load_catalog_roundtrip(tmp_path):
