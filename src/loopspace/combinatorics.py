@@ -8,9 +8,11 @@ package's central self-check.  Hypotheses and Betti signs are checked by
 the space profiles of :mod:`loopspace.spaces`.
 
 The sum over all multiindexes of one dimension and length of the products
-of their Betti numbers is a coefficient of a power of the Betti series, so
-every term is read off truncated powers of P_Y and P_A.  To degree N the
-oracle regroups its sum into O(N^3) integer operations and O(N^2) memory.
+of their Betti numbers is a coefficient of a power of the Betti series.
+The stage readers read each term off truncated powers of P_Y and P_A.  The
+oracle builds no powers: it solves Pascal's rule for the binomially
+weighted sums of powers of P_Y degree by degree, and folds in P_A by
+Horner's rule, in O(N^3) integer operations and O(N^2) memory to degree N.
 """
 
 from __future__ import annotations
@@ -46,6 +48,12 @@ def _times(row: list[int], factor: list[tuple[int, int]], bound: int) -> list[in
     return out
 
 
+def _betti_terms(space: SpaceProfile, bound: int) -> list[tuple[int, int]]:
+    """The nonzero reduced Betti numbers (d, b_d) of the space, 1 <= d <= bound."""
+    coeffs = space.betti(bound).coeffs
+    return [(d, coeffs[d]) for d in range(1, bound + 1) if coeffs[d] != 0]
+
+
 def _betti_powers(space: SpaceProfile, count: int, bound: int) -> list[list[int]]:
     """[P^0, ..., P^count] truncated at bound, for P the Betti series without degree 0.
 
@@ -53,8 +61,7 @@ def _betti_powers(space: SpaceProfile, count: int, bound: int) -> list[list[int]
     [t^n] P^i sums the Betti products of all multiindexes over the space of
     dimension i and total length n.
     """
-    coeffs = space.betti(bound).coeffs
-    factor = [(d, coeffs[d]) for d in range(1, bound + 1) if coeffs[d] != 0]
+    factor = _betti_terms(space, bound)
     rows = [[1] + [0] * bound]
     for _ in range(count):
         rows.append(_times(rows[-1], factor, bound))
@@ -123,30 +130,39 @@ def loop_series_oracle(pair: PairInclusion, bound: int) -> TruncSeries:
     fat diagonal vanishes for s > q).  Degree 0 is 0.  This never consults
     the closed form, so it serves as an independent cross-check of it.
 
-    Grouped by j = dim mu, the stages sum to sum_j (t/(1-t))^j P_A^j
-    sum_i binom(i + j, j) P_Y^i - 1: j = 0 is sum_s P_Y^s, the smash powers,
-    and (t/(1-t))^j carries the fat diagonals' stage shifts.  Horner's rule
-    takes t/(1-t) as a shift and a prefix sum: one O(N^2) product per j.
+    Grouped by j = dim mu, the stages sum to sum_j (t/(1-t))^j P_A^j V_j - 1,
+    with V_j = sum_i binom(i + j, j) P_Y^i: j = 0 is sum_s P_Y^s, the smash
+    powers, and (t/(1-t))^j carries the fat diagonals' stage shifts.
+    Pascal's rule gives V_j = V_{j-1} + P_Y V_j from V_{-1} = 1, and P_Y has
+    no constant term, so V_j[n] follows from V_{j-1}[n] and V_j below n: one
+    pass over P_Y's nonzero terms per degree.  Horner's rule then runs from
+    the highest j down, multiplying by the sparse P_A and by t/(1-t) as a
+    shift and a prefix sum.  Nothing builds a power of P_Y or P_A.
     """
     pair.require_hypotheses("the stage decomposition")
     if bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {bound}")
-    y = _betti_powers(pair.ambient, bound, bound)
-    a_powers = _betti_powers(pair.sub, bound // 2, bound)
-    # Term j is read to degree bound - j; past top_j, P_A^j starts above it.
-    top_j = max(j for j, power in enumerate(a_powers) if any(power[: bound - j + 1]))
-    total = [0] * (bound + 1)
-    for j in range(top_j, -1, -1):
-        top = bound - j
-        a_terms = [(n, c) for n, c in enumerate(a_powers[j][: top + 1]) if c]
-        v = [0] * (top + 1)
-        for i, row in enumerate(y[: top + 1]):
-            weight = comb(i + j, j)
-            for n in range(i, top + 1):
-                v[n] += weight * row[n]
-        for q, c in enumerate(_times(v, a_terms, top)):
-            total[q] += c
-        if j:
-            total = [0, *accumulate(total[:-1])]
+    y = _betti_terms(pair.ambient, bound)
+    a = _betti_terms(pair.sub, bound)
+    # Term j is read to degree bound - j.  Betti numbers are >= 0, so P_A^j
+    # starts in degree j * v, v = P_A's lowest degree: above bound - j past top_j.
+    top_j = bound // (a[0][0] + 1) if a else 0
+    rows = []
+    previous = [1] + [0] * bound  # V_{-1}
+    for j in range(top_j + 1):
+        v = []
+        for n in range(bound - j + 1):
+            c = previous[n]
+            for d, b in y:
+                if d > n:
+                    break
+                c += b * v[n - d]
+            v.append(c)
+        rows.append(v)
+        previous = v
+    total = rows.pop()
+    for v in reversed(rows):
+        shifted = [0, *accumulate(_times(total, a, len(v) - 1)[:-1])]
+        total = [x + s for x, s in zip(v, shifted)]
     total[0] -= 1  # the empty word
     return TruncSeries(total)

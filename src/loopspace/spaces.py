@@ -289,9 +289,16 @@ class _Catalog(Mapping[str, SpaceProfile]):
         max(degree, m + n), m and n its numerator and denominator degrees, whose
         first m + n + 1 coefficients determine it (Pade uniqueness); no finite
         horizon is complete (Ouaknine and Worrell, SODA 2014).
+
+        An entry is skipped when its coefficients prove it nonnegative in every
+        degree: with numerator >= 0 and denominator <= 0 past t^0 (the lookup
+        made den(0) = 1), the recurrence only adds.
         """
         for entry in self._built.values():
-            entry.betti(max(degree, entry.series.num.degree + entry.series.den.degree))
+            num, den = entry.series.num, entry.series.den
+            if min(num.coeffs, default=0) >= 0 and max(den.coeffs[1:], default=0) <= 0:
+                continue
+            entry.betti(max(degree, num.degree + den.degree))
 
     def __contains__(self, name: object) -> bool:
         return name in self._entries

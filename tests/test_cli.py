@@ -175,6 +175,16 @@ def test_verify_agreement(capsys):
     assert lines[3] == "agree through degree 8"
 
 
+def test_verify_at_the_degree_limit_on_the_densest_pair(capsys):
+    # README's densest pair, at the largest verify degree it states a time for
+    argv = ["verify", "--A", "S^1 v S^1 v S^1 v S^1 v susp(RP^inf)",
+            "--Y", "RP^inf v RP^inf v RP^inf v susp(RP^inf)", "--degree", str(cli.MAX_VERIFY_DEGREE)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"\nagree through degree {cli.MAX_VERIFY_DEGREE}\n")
+    assert cli.MAX_VERIFY_DEGREE == 250
+
+
 def test_verify_mismatch_reports_first_degree(capsys, monkeypatch):
     # the two routes agree for every valid input, so the mismatch path is
     # exercised by perturbing the oracle

@@ -7,16 +7,18 @@ tables and no pruning.  The library's sums of truncated powers must match
 it everywhere it is feasible to run.
 """
 
+import ast
 import functools
 import itertools
 import math
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopspace import formulas
+from loopspace import combinatorics, formulas, gfcore
 from loopspace.combinatorics import (
     binomial_gf_check,
     fat_diagonal_betti,
@@ -255,11 +257,49 @@ def test_oracle_reaches_degree_100_on_the_projective_pair():
     assert elapsed < 10.0, f"oracle took {elapsed:.1f} s at degree 100"
 
 
-def test_oracle_agrees_with_closed_form_on_the_densest_pair_at_degree_200():
+def densest_pair():
+    # README's densest verify pair: every degree of both series is occupied
     sub = functools.reduce(wedge, [sphere(1)] * 4 + [suspend(projective(math.inf))])
     ambient = functools.reduce(wedge, [projective(math.inf)] * 3 + [suspend(projective(math.inf))])
-    pair = PairInclusion(sub=sub, ambient=ambient)
+    return PairInclusion(sub=sub, ambient=ambient)
+
+
+def test_oracle_agrees_with_closed_form_on_the_densest_pair_at_degree_200():
+    pair = densest_pair()
     assert loop_series_oracle(pair, 200) == formulas.loop_series(pair).expand(200)
+
+
+def test_oracle_needs_neither_the_closed_form_nor_fractions_nor_power_lists(monkeypatch):
+    # The oracle reads its inputs only through SpaceProfile.betti: with the
+    # closed form, every fraction reduction and the stage readers' power
+    # lists all broken, it still counts the same numbers.
+    pair = densest_pair()
+    closed = formulas.loop_series(pair).expand(60)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the oracle reached a function it must not use")
+
+    monkeypatch.setattr(formulas, "loop_series", broken)
+    monkeypatch.setattr(formulas, "_tensor_series", broken)
+    monkeypatch.setattr(gfcore, "_cancel", broken)
+    monkeypatch.setattr(RationalGF, "__init__", broken)
+    monkeypatch.setattr(combinatorics, "_betti_powers", broken)
+    monkeypatch.setattr(math, "comb", broken)
+    monkeypatch.setattr(combinatorics, "comb", broken)
+    assert loop_series_oracle(pair, 60) == closed
+
+
+def test_combinatorics_imports_nothing_from_formulas():
+    tree = ast.parse(Path(combinatorics.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported |= {f"{node.module or ''}.{alias.name}" for alias in node.names}
+    assert imported
+    assert not any("formulas" in name.split(".") for name in imported), imported
 
 
 @pytest.mark.parametrize("sub", [wedge(sphere(3), sphere(4)), smash(sphere(2), sphere(2))])

@@ -517,6 +517,25 @@ def test_parse_catalog_checks_raw_entries_as_the_profile_would(num, den, diag):
             catalog["M"]
 
 
+@pytest.mark.parametrize("num, den, expands", [
+    ((0, 1, 2), (1, -1, -1), 0),
+    ((0, 1, -1), (1, -2, 1), 0),  # t(1 - t)/(1 - t)^2 is t/(1 - t) in lowest terms
+    ((), (1,), 0),
+    ((0, 1), (1, -3, 1), 1),  # one positive tap: nonnegative, but not provably so here
+    ((0, 1), (1, -1, 1), 1),
+], ids=["nonnegative", "nonnegative-reduced", "zero", "positive-tap", "alternating"])
+def test_check_signs_skips_only_provably_nonnegative_entries(monkeypatch, num, den, expands):
+    # num >= 0 and den <= 0 past t^0 = 1 make every recurrence step a sum of
+    # nonnegative terms, so those entries need no expansion
+    catalog = parse_catalog([_entry(num=num, den=den, diag=True)])
+    catalog["M"]
+    calls = []
+    betti = SpaceProfile.betti
+    monkeypatch.setattr(SpaceProfile, "betti", lambda self, bound: calls.append(bound) or betti(self, bound))
+    catalog.check_signs(2)
+    assert len(calls) == expands
+
+
 def test_load_catalog_roundtrip(tmp_path):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps([_entry(name="torusish", num=(0, 2, 1))]))
